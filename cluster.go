@@ -1,11 +1,14 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/proto"
@@ -19,28 +22,43 @@ import (
 // receipt, timers, Work and DiskWrite completions), preserving the actor
 // model's single-threaded contract. ip-multicast is implemented as sender
 // fan-out, which keeps the semantics (every subscriber receives the
-// message) even though in-process transport has no real switch.
+// message) even though in-process transport has no real switch. Every
+// timer of every node is served by the cluster's one clock (see clock),
+// which keeps microsecond-level deadlines.
+//
+// The topology is fixed at Start: AddNode, Subscribe and EnableWAL must be
+// called before it, and the message path then resolves destinations from
+// that snapshot without locking.
 type Cluster struct {
-	mu     sync.Mutex
-	nodes  map[proto.NodeID]*ClusterNode
-	groups map[proto.GroupID]map[proto.NodeID]bool
-	start  time.Time
-	seed   int64
-	closed bool
-	wg     sync.WaitGroup
+	mu      sync.Mutex
+	nodes   map[proto.NodeID]*ClusterNode
+	groups  map[proto.GroupID]map[proto.NodeID]bool
+	started bool
+	closed  bool
+	// members is each group's subscribers, resolved from groups at Start
+	// and read-only afterwards.
+	members map[proto.GroupID][]*ClusterNode
+	start   time.Time
+	seed    int64
+	clk     *clock
+	quit    chan struct{}
+	wg      sync.WaitGroup
 	// walDir, when non-empty, backs every node's DiskWrite with a real
 	// synchronous append to dir/node-<id>.wal (see EnableWAL). walErr
-	// records the first file error; writes degrade to in-memory after it.
+	// latches the first file error; writes degrade to in-memory after it.
 	walDir string
-	walErr error
+	walErr atomic.Pointer[error]
 }
 
 // NewCluster returns an empty realtime cluster.
 func NewCluster(seed int64) *Cluster {
+	quit := make(chan struct{})
 	return &Cluster{
 		nodes:  make(map[proto.NodeID]*ClusterNode),
 		groups: make(map[proto.GroupID]map[proto.NodeID]bool),
 		seed:   seed,
+		clk:    newClock(quit),
+		quit:   quit,
 	}
 }
 
@@ -53,7 +71,6 @@ type ClusterNode struct {
 	c       *Cluster
 	handler proto.Handler
 	inbox   chan event
-	quit    chan struct{}
 	rng     *rand.Rand
 	// wal is the node's durable-write file, opened lazily on the node's
 	// own loop at the first DiskWrite after EnableWAL. Accessed only from
@@ -66,26 +83,29 @@ var (
 	_ proto.FreeTimerEnv = (*ClusterNode)(nil)
 )
 
-// AddNode installs a handler on a new node. Call before Start.
+// AddNode installs a handler on a new node. It panics once the cluster
+// has started.
 func (c *Cluster) AddNode(id NodeID, h Handler) *ClusterNode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.mustNotHaveStarted("AddNode")
 	n := &ClusterNode{
 		id:      id,
 		c:       c,
 		handler: h,
 		inbox:   make(chan event, 4096),
-		quit:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(c.seed + int64(id))),
 	}
 	c.nodes[id] = n
 	return n
 }
 
-// Subscribe adds node id to multicast group g. Call before Start.
+// Subscribe adds node id to multicast group g. It panics once the cluster
+// has started.
 func (c *Cluster) Subscribe(g GroupID, id NodeID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.mustNotHaveStarted("Subscribe")
 	set := c.groups[g]
 	if set == nil {
 		set = make(map[proto.NodeID]bool)
@@ -94,21 +114,50 @@ func (c *Cluster) Subscribe(g GroupID, id NodeID) {
 	set[id] = true
 }
 
-// Start launches every node's loop and invokes the handlers' Start
-// callbacks on their own goroutines.
-func (c *Cluster) Start() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.start = time.Now()
-	for _, n := range c.nodes {
-		n := n
-		c.wg.Add(1)
-		go n.loop(&c.wg)
-		n.enqueue(func() { n.handler.Start(n) })
+// mustNotHaveStarted guards the topology, which the message path reads
+// without locking after Start. c.mu is held.
+func (c *Cluster) mustNotHaveStarted(op string) {
+	if c.started || c.closed {
+		panic("repro: Cluster." + op + " after Start")
 	}
 }
 
-// Stop terminates all node loops and waits for them to exit.
+// Start resolves the topology, launches the clock and every node's loop,
+// and invokes the handlers' Start callbacks on their own goroutines.
+// Later calls are no-ops.
+func (c *Cluster) Start() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.started || c.closed {
+		return
+	}
+	c.started = true
+	c.members = make(map[proto.GroupID][]*ClusterNode, len(c.groups))
+	for g, set := range c.groups {
+		var ns []*ClusterNode
+		for id := range set {
+			if n := c.nodes[id]; n != nil {
+				ns = append(ns, n)
+			}
+		}
+		sort.Slice(ns, func(i, j int) bool { return ns[i].id < ns[j].id })
+		c.members[g] = ns
+	}
+	c.start = time.Now()
+	// Every handler's Start heads its inbox before any loop runs, so no
+	// handler receives a message before its own Start.
+	for _, n := range c.nodes {
+		n.inbox <- func() { n.handler.Start(n) }
+	}
+	c.wg.Add(1 + len(c.nodes))
+	go c.clk.run(&c.wg)
+	for _, n := range c.nodes {
+		go n.loop(&c.wg)
+	}
+}
+
+// Stop terminates the clock and all node loops and waits for them to
+// exit. Timers still pending never run.
 func (c *Cluster) Stop() {
 	c.mu.Lock()
 	if c.closed {
@@ -116,17 +165,12 @@ func (c *Cluster) Stop() {
 		return
 	}
 	c.closed = true
-	nodes := make([]*ClusterNode, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		nodes = append(nodes, n)
-	}
 	c.mu.Unlock()
-	for _, n := range nodes {
-		close(n.quit)
-	}
+	c.clk.stop()
+	close(c.quit)
 	c.wg.Wait()
 	// Loops have exited; their WAL files can be closed off-loop safely.
-	for _, n := range nodes {
+	for _, n := range c.nodes {
 		if n.wal != nil {
 			n.wal.Close()
 		}
@@ -144,7 +188,7 @@ func (n *ClusterNode) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
 		select {
-		case <-n.quit:
+		case <-n.c.quit:
 			return
 		case ev := <-n.inbox:
 			ev()
@@ -152,12 +196,12 @@ func (n *ClusterNode) loop(wg *sync.WaitGroup) {
 	}
 }
 
-// enqueue delivers an event to this node's loop, dropping it if the node
-// has stopped.
+// enqueue delivers an event to this node's loop, dropping it if the
+// cluster has stopped.
 func (n *ClusterNode) enqueue(ev event) {
 	select {
 	case n.inbox <- ev:
-	case <-n.quit:
+	case <-n.c.quit:
 	}
 }
 
@@ -172,9 +216,7 @@ func (n *ClusterNode) Rand() *rand.Rand { return n.rng }
 
 // Send implements Env: in-process channels are reliable and FIFO.
 func (n *ClusterNode) Send(to NodeID, m Message) {
-	n.c.mu.Lock()
 	dst := n.c.nodes[to]
-	n.c.mu.Unlock()
 	if dst == nil {
 		return
 	}
@@ -186,62 +228,48 @@ func (n *ClusterNode) Send(to NodeID, m Message) {
 // datagram semantics (no backpressure guarantee) are preserved by dropping
 // when the destination's inbox is full.
 func (n *ClusterNode) SendUDP(to NodeID, m Message) {
-	n.c.mu.Lock()
 	dst := n.c.nodes[to]
-	n.c.mu.Unlock()
 	if dst == nil {
 		return
 	}
-	from := n.id
-	select {
-	case dst.inbox <- func() { dst.handler.Receive(from, m) }:
-	default: // buffer full: datagram dropped
-	}
+	dst.offer(n.id, m)
 }
 
 // Multicast implements Env by fanning out to every subscriber.
 func (n *ClusterNode) Multicast(g GroupID, m Message) {
-	n.c.mu.Lock()
-	var dsts []*ClusterNode
-	for id := range n.c.groups[g] {
-		if d := n.c.nodes[id]; d != nil {
-			dsts = append(dsts, d)
-		}
-	}
-	n.c.mu.Unlock()
-	from := n.id
-	for _, dst := range dsts {
-		dst := dst
-		select {
-		case dst.inbox <- func() { dst.handler.Receive(from, m) }:
-		default:
-		}
+	for _, dst := range n.c.members[g] {
+		dst.offer(n.id, m)
 	}
 }
 
-// rtTimer adapts time.Timer to proto.Timer.
-type rtTimer struct {
-	t *time.Timer
+// offer delivers m from a datagram sender, dropping it when the inbox is
+// full.
+func (n *ClusterNode) offer(from NodeID, m Message) {
+	select {
+	case n.inbox <- func() { n.handler.Receive(from, m) }:
+	default: // buffer full: datagram dropped
+	}
 }
 
-// Cancel implements Timer.
-func (t rtTimer) Cancel() { t.t.Stop() }
-
-// After implements Env.
+// After implements Env. The callback runs on the node's loop unless the
+// returned Timer is cancelled first; a cancel issued after the deadline
+// but before the callback ran still holds.
 func (n *ClusterNode) After(d time.Duration, fn func()) Timer {
-	t := time.AfterFunc(d, func() { n.enqueue(fn) })
-	return rtTimer{t: t}
+	t := &rtTimer{fn: fn}
+	n.c.clk.add(d, n, t.fire)
+	return t
 }
 
-// AfterFree implements proto.FreeTimerEnv. The realtime runtime has no
-// allocation-free scheduling path, so this is After without the handle.
+// AfterFree implements proto.FreeTimerEnv: After without a cancel handle,
+// so it schedules fn itself and allocates nothing beyond the clock's heap
+// slot.
 func (n *ClusterNode) AfterFree(d time.Duration, fn func()) {
-	time.AfterFunc(d, func() { n.enqueue(fn) })
+	n.c.clk.add(d, n, fn)
 }
 
 // AfterFreeArg implements proto.FreeTimerEnv.
 func (n *ClusterNode) AfterFreeArg(d time.Duration, fn func(int64), arg int64) {
-	time.AfterFunc(d, func() { n.enqueue(func() { fn(arg) }) })
+	n.c.clk.add(d, n, func() { fn(arg) })
 }
 
 // Work implements Env: realtime has no modeled CPU, so fn runs after d of
@@ -251,7 +279,7 @@ func (n *ClusterNode) Work(d time.Duration, fn func()) {
 		n.enqueue(fn)
 		return
 	}
-	time.AfterFunc(d, func() { n.enqueue(fn) })
+	n.c.clk.add(d, n, fn)
 }
 
 // EnableWAL backs every node's DiskWrite with a real synchronous file:
@@ -260,15 +288,19 @@ func (n *ClusterNode) Work(d time.Duration, fn func()) {
 // true fsync latency instead of completing instantly. The files carry
 // the modeled byte volume, not a parseable record encoding — the logical
 // records live in the protocol's wal.Log; the file is the timing and
-// durability substrate. Call before Start. The first file error is
-// remembered (WALError) and subsequent writes degrade to in-memory.
+// durability substrate. Call before Start (later calls return an error).
+// The first file error is remembered (WALError) and subsequent writes
+// degrade to in-memory.
 func (c *Cluster) EnableWAL(dir string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.started || c.closed {
+		return errors.New("repro: Cluster.EnableWAL after Start")
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	c.mu.Lock()
 	c.walDir = dir
-	c.mu.Unlock()
 	return nil
 }
 
@@ -276,17 +308,14 @@ func (c *Cluster) EnableWAL(dir string) error {
 // nil. Writes after an error complete in-memory, so a full disk degrades
 // durability, never liveness.
 func (c *Cluster) WALError() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.walErr
+	if p := c.walErr.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 func (c *Cluster) noteWALErr(err error) {
-	c.mu.Lock()
-	if c.walErr == nil {
-		c.walErr = err
-	}
-	c.mu.Unlock()
+	c.walErr.CompareAndSwap(nil, &err)
 }
 
 // walZeros is the shared source buffer for modeled durable writes.
@@ -322,10 +351,7 @@ func (n *ClusterNode) diskAppend(size int) {
 // with EnableWAL the bytes hit a real O_SYNC file first, on the node's
 // own loop, before the completion runs.
 func (n *ClusterNode) DiskWrite(size int, fn func()) {
-	n.c.mu.Lock()
-	backed := n.c.walDir != "" && n.c.walErr == nil
-	n.c.mu.Unlock()
-	if !backed {
+	if n.c.walDir == "" || n.c.walErr.Load() != nil {
 		n.enqueue(fn)
 		return
 	}
