@@ -12,10 +12,10 @@ import (
 // runtime timer only for the far part of a wait and covers the last
 // stretch with short precise sleeps.
 const (
-	// clockFar: a deadline at least this far away is waited for on the
-	// runtime timer, until clockMargin before it.
-	clockFar    = 2 * time.Millisecond
-	clockMargin = time.Millisecond
+	// clockFar: a deadline further away than this is waited for on the
+	// runtime timer until clockFar before it, which leaves room for the
+	// runtime's rounding (up to a millisecond plus the wake-up slack).
+	clockFar = 2 * time.Millisecond
 	// clockSlice bounds one precise sleep, and with it the delay before
 	// the clock notices a deadline added while it sleeps.
 	clockSlice = 50 * time.Microsecond
@@ -38,20 +38,19 @@ type clockEntry struct {
 // run in the order they were scheduled, as in the simulator's kernel.
 type clock struct {
 	base time.Time
-	quit chan struct{} // the cluster's stop signal
-	wake chan struct{} // capacity 1: an earlier deadline for a parked loop
+	wg   *sync.WaitGroup // the cluster's: joins the clock's goroutines
+	quit chan struct{}   // closed by stop
+	wake chan struct{}   // capacity 1: an earlier deadline for a parked loop
 
 	mu      sync.Mutex
 	heap    []clockEntry
 	seq     uint64
 	parked  bool // the loop waits on the runtime timer or for work
 	stopped bool
-
-	due []clockEntry // loop-local: entries popped in one pass
 }
 
-func newClock(quit chan struct{}) *clock {
-	return &clock{base: time.Now(), quit: quit, wake: make(chan struct{}, 1)}
+func newClock(wg *sync.WaitGroup) *clock {
+	return &clock{base: time.Now(), wg: wg, quit: make(chan struct{}), wake: make(chan struct{}, 1)}
 }
 
 func (k *clock) now() time.Duration { return time.Since(k.base) }
@@ -87,18 +86,26 @@ func (k *clock) addAt(at time.Duration, n *ClusterNode, ev event) {
 	}
 }
 
-// stop makes later adds no-ops; the loop itself exits on quit.
+// start launches the clock's goroutine.
+func (k *clock) start() {
+	k.wg.Add(1)
+	go k.run()
+}
+
+// stop drops every pending entry, makes later adds no-ops and ends the
+// clock's goroutines. Called once.
 func (k *clock) stop() {
 	k.mu.Lock()
 	k.stopped = true
 	k.heap = nil
 	k.mu.Unlock()
+	close(k.quit)
 }
 
 // run is the clock's goroutine. It returns when quit closes; entries still
 // pending then are never posted.
-func (k *clock) run(wg *sync.WaitGroup) {
-	defer wg.Done()
+func (k *clock) run() {
+	defer k.wg.Done()
 	t := time.NewTimer(time.Hour)
 	t.Stop()
 	defer t.Stop()
@@ -106,21 +113,15 @@ func (k *clock) run(wg *sync.WaitGroup) {
 		k.mu.Lock()
 		now := k.now()
 		for len(k.heap) > 0 && k.heap[0].at <= now {
-			k.due = append(k.due, k.pop())
+			k.post(k.pop())
 		}
 		wait := time.Duration(-1) // no pending entry
 		if len(k.heap) > 0 {
 			wait = k.heap[0].at - now
 		}
-		k.parked = len(k.due) == 0 && (wait < 0 || wait >= clockFar)
+		k.parked = wait < 0 || wait > clockFar
 		k.mu.Unlock()
 
-		if len(k.due) > 0 {
-			if !k.post() {
-				return
-			}
-			continue
-		}
 		switch {
 		case wait < 0:
 			select {
@@ -128,8 +129,8 @@ func (k *clock) run(wg *sync.WaitGroup) {
 			case <-k.quit:
 				return
 			}
-		case wait >= clockFar:
-			t.Reset(wait - clockMargin)
+		case wait > clockFar:
+			t.Reset(wait - clockFar)
 			select {
 			case <-t.C:
 			case <-k.wake:
@@ -148,21 +149,46 @@ func (k *clock) run(wg *sync.WaitGroup) {
 	}
 }
 
-// post delivers the due entries to their nodes' inboxes, blocking on a
-// full inbox like any other sender. It reports false when the cluster
-// stopped meanwhile.
-func (k *clock) post() bool {
-	for i := range k.due {
-		e := &k.due[i]
+// post hands a due entry to its node's inbox without blocking, so one
+// node whose inbox is full never holds up the timers of the others. When
+// the inbox is full, the callback joins the node's spill, which a drain
+// goroutine feeds to the inbox; later callbacks for that node queue behind
+// it until the spill is empty, which keeps their order. k.mu is held.
+func (k *clock) post(e clockEntry) {
+	n := e.n
+	if n.spill == nil {
 		select {
-		case e.n.inbox <- e.ev:
-		case <-k.quit:
-			return false
+		case n.inbox <- e.ev:
+			return
+		default:
 		}
-		*e = clockEntry{}
+		k.wg.Add(1)
+		go k.drain(n)
 	}
-	k.due = k.due[:0]
-	return true
+	n.spill = append(n.spill, e.ev)
+}
+
+// drain feeds n's spilled callbacks to its inbox in order, blocking like
+// any other sender, and returns once the spill is empty or n has stopped.
+func (k *clock) drain(n *ClusterNode) {
+	defer k.wg.Done()
+	for {
+		k.mu.Lock()
+		if len(n.spill) == 0 {
+			n.spill = nil
+			k.mu.Unlock()
+			return
+		}
+		ev := n.spill[0]
+		n.spill[0] = nil
+		n.spill = n.spill[1:]
+		k.mu.Unlock()
+		select {
+		case n.inbox <- ev:
+		case <-n.quit:
+			return
+		}
+	}
 }
 
 func (k *clock) less(i, j int) bool {

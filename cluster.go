@@ -1,14 +1,11 @@
 package repro
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/proto"
@@ -25,41 +22,31 @@ import (
 // message) even though in-process transport has no real switch. Every
 // timer of every node is served by the cluster's one clock (see clock),
 // which keeps microsecond-level deadlines.
-//
-// The topology is fixed at Start: AddNode, Subscribe and EnableWAL must be
-// called before it, and the message path then resolves destinations from
-// that snapshot without locking.
 type Cluster struct {
-	mu      sync.Mutex
-	nodes   map[proto.NodeID]*ClusterNode
-	groups  map[proto.GroupID]map[proto.NodeID]bool
-	started bool
-	closed  bool
-	// members is each group's subscribers, resolved from groups at Start
-	// and read-only afterwards.
-	members map[proto.GroupID][]*ClusterNode
-	start   time.Time
-	seed    int64
-	clk     *clock
-	quit    chan struct{}
-	wg      sync.WaitGroup
+	mu     sync.Mutex
+	nodes  map[proto.NodeID]*ClusterNode
+	groups map[proto.GroupID]map[proto.NodeID]bool
+	start  time.Time
+	seed   int64
+	closed bool
+	clk    *clock
+	wg     sync.WaitGroup
 	// walDir, when non-empty, backs every node's DiskWrite with a real
 	// synchronous append to dir/node-<id>.wal (see EnableWAL). walErr
-	// latches the first file error; writes degrade to in-memory after it.
+	// records the first file error; writes degrade to in-memory after it.
 	walDir string
-	walErr atomic.Pointer[error]
+	walErr error
 }
 
 // NewCluster returns an empty realtime cluster.
 func NewCluster(seed int64) *Cluster {
-	quit := make(chan struct{})
-	return &Cluster{
+	c := &Cluster{
 		nodes:  make(map[proto.NodeID]*ClusterNode),
 		groups: make(map[proto.GroupID]map[proto.NodeID]bool),
 		seed:   seed,
-		clk:    newClock(quit),
-		quit:   quit,
 	}
+	c.clk = newClock(&c.wg)
+	return c
 }
 
 // event is one unit of work for a node's loop.
@@ -71,7 +58,11 @@ type ClusterNode struct {
 	c       *Cluster
 	handler proto.Handler
 	inbox   chan event
+	quit    chan struct{}
 	rng     *rand.Rand
+	// spill holds timer callbacks the clock found no inbox room for, in
+	// posting order (see clock.post). Guarded by c.clk.mu.
+	spill []event
 	// wal is the node's durable-write file, opened lazily on the node's
 	// own loop at the first DiskWrite after EnableWAL. Accessed only from
 	// the loop goroutine.
@@ -83,29 +74,26 @@ var (
 	_ proto.FreeTimerEnv = (*ClusterNode)(nil)
 )
 
-// AddNode installs a handler on a new node. It panics once the cluster
-// has started.
+// AddNode installs a handler on a new node. Call before Start.
 func (c *Cluster) AddNode(id NodeID, h Handler) *ClusterNode {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mustNotHaveStarted("AddNode")
 	n := &ClusterNode{
 		id:      id,
 		c:       c,
 		handler: h,
 		inbox:   make(chan event, 4096),
+		quit:    make(chan struct{}),
 		rng:     rand.New(rand.NewSource(c.seed + int64(id))),
 	}
 	c.nodes[id] = n
 	return n
 }
 
-// Subscribe adds node id to multicast group g. It panics once the cluster
-// has started.
+// Subscribe adds node id to multicast group g. Call before Start.
 func (c *Cluster) Subscribe(g GroupID, id NodeID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.mustNotHaveStarted("Subscribe")
 	set := c.groups[g]
 	if set == nil {
 		set = make(map[proto.NodeID]bool)
@@ -114,45 +102,18 @@ func (c *Cluster) Subscribe(g GroupID, id NodeID) {
 	set[id] = true
 }
 
-// mustNotHaveStarted guards the topology, which the message path reads
-// without locking after Start. c.mu is held.
-func (c *Cluster) mustNotHaveStarted(op string) {
-	if c.started || c.closed {
-		panic("repro: Cluster." + op + " after Start")
-	}
-}
-
-// Start resolves the topology, launches the clock and every node's loop,
-// and invokes the handlers' Start callbacks on their own goroutines.
-// Later calls are no-ops.
+// Start launches the clock and every node's loop, and invokes the
+// handlers' Start callbacks on their own goroutines.
 func (c *Cluster) Start() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.started || c.closed {
-		return
-	}
-	c.started = true
-	c.members = make(map[proto.GroupID][]*ClusterNode, len(c.groups))
-	for g, set := range c.groups {
-		var ns []*ClusterNode
-		for id := range set {
-			if n := c.nodes[id]; n != nil {
-				ns = append(ns, n)
-			}
-		}
-		sort.Slice(ns, func(i, j int) bool { return ns[i].id < ns[j].id })
-		c.members[g] = ns
-	}
 	c.start = time.Now()
-	// Every handler's Start heads its inbox before any loop runs, so no
-	// handler receives a message before its own Start.
+	c.clk.start()
 	for _, n := range c.nodes {
-		n.inbox <- func() { n.handler.Start(n) }
-	}
-	c.wg.Add(1 + len(c.nodes))
-	go c.clk.run(&c.wg)
-	for _, n := range c.nodes {
+		n := n
+		c.wg.Add(1)
 		go n.loop(&c.wg)
+		n.enqueue(func() { n.handler.Start(n) })
 	}
 }
 
@@ -165,12 +126,18 @@ func (c *Cluster) Stop() {
 		return
 	}
 	c.closed = true
+	nodes := make([]*ClusterNode, 0, len(c.nodes))
+	for _, n := range c.nodes {
+		nodes = append(nodes, n)
+	}
 	c.mu.Unlock()
 	c.clk.stop()
-	close(c.quit)
+	for _, n := range nodes {
+		close(n.quit)
+	}
 	c.wg.Wait()
 	// Loops have exited; their WAL files can be closed off-loop safely.
-	for _, n := range c.nodes {
+	for _, n := range nodes {
 		if n.wal != nil {
 			n.wal.Close()
 		}
@@ -188,7 +155,7 @@ func (n *ClusterNode) loop(wg *sync.WaitGroup) {
 	defer wg.Done()
 	for {
 		select {
-		case <-n.c.quit:
+		case <-n.quit:
 			return
 		case ev := <-n.inbox:
 			ev()
@@ -196,12 +163,12 @@ func (n *ClusterNode) loop(wg *sync.WaitGroup) {
 	}
 }
 
-// enqueue delivers an event to this node's loop, dropping it if the
-// cluster has stopped.
+// enqueue delivers an event to this node's loop, dropping it if the node
+// has stopped.
 func (n *ClusterNode) enqueue(ev event) {
 	select {
 	case n.inbox <- ev:
-	case <-n.c.quit:
+	case <-n.quit:
 	}
 }
 
@@ -216,7 +183,9 @@ func (n *ClusterNode) Rand() *rand.Rand { return n.rng }
 
 // Send implements Env: in-process channels are reliable and FIFO.
 func (n *ClusterNode) Send(to NodeID, m Message) {
+	n.c.mu.Lock()
 	dst := n.c.nodes[to]
+	n.c.mu.Unlock()
 	if dst == nil {
 		return
 	}
@@ -228,26 +197,36 @@ func (n *ClusterNode) Send(to NodeID, m Message) {
 // datagram semantics (no backpressure guarantee) are preserved by dropping
 // when the destination's inbox is full.
 func (n *ClusterNode) SendUDP(to NodeID, m Message) {
+	n.c.mu.Lock()
 	dst := n.c.nodes[to]
+	n.c.mu.Unlock()
 	if dst == nil {
 		return
 	}
-	dst.offer(n.id, m)
+	from := n.id
+	select {
+	case dst.inbox <- func() { dst.handler.Receive(from, m) }:
+	default: // buffer full: datagram dropped
+	}
 }
 
 // Multicast implements Env by fanning out to every subscriber.
 func (n *ClusterNode) Multicast(g GroupID, m Message) {
-	for _, dst := range n.c.members[g] {
-		dst.offer(n.id, m)
+	n.c.mu.Lock()
+	var dsts []*ClusterNode
+	for id := range n.c.groups[g] {
+		if d := n.c.nodes[id]; d != nil {
+			dsts = append(dsts, d)
+		}
 	}
-}
-
-// offer delivers m from a datagram sender, dropping it when the inbox is
-// full.
-func (n *ClusterNode) offer(from NodeID, m Message) {
-	select {
-	case n.inbox <- func() { n.handler.Receive(from, m) }:
-	default: // buffer full: datagram dropped
+	n.c.mu.Unlock()
+	from := n.id
+	for _, dst := range dsts {
+		dst := dst
+		select {
+		case dst.inbox <- func() { dst.handler.Receive(from, m) }:
+		default:
+		}
 	}
 }
 
@@ -288,19 +267,15 @@ func (n *ClusterNode) Work(d time.Duration, fn func()) {
 // true fsync latency instead of completing instantly. The files carry
 // the modeled byte volume, not a parseable record encoding — the logical
 // records live in the protocol's wal.Log; the file is the timing and
-// durability substrate. Call before Start (later calls return an error).
-// The first file error is remembered (WALError) and subsequent writes
-// degrade to in-memory.
+// durability substrate. Call before Start. The first file error is
+// remembered (WALError) and subsequent writes degrade to in-memory.
 func (c *Cluster) EnableWAL(dir string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.started || c.closed {
-		return errors.New("repro: Cluster.EnableWAL after Start")
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
+	c.mu.Lock()
 	c.walDir = dir
+	c.mu.Unlock()
 	return nil
 }
 
@@ -308,14 +283,17 @@ func (c *Cluster) EnableWAL(dir string) error {
 // nil. Writes after an error complete in-memory, so a full disk degrades
 // durability, never liveness.
 func (c *Cluster) WALError() error {
-	if p := c.walErr.Load(); p != nil {
-		return *p
-	}
-	return nil
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.walErr
 }
 
 func (c *Cluster) noteWALErr(err error) {
-	c.walErr.CompareAndSwap(nil, &err)
+	c.mu.Lock()
+	if c.walErr == nil {
+		c.walErr = err
+	}
+	c.mu.Unlock()
 }
 
 // walZeros is the shared source buffer for modeled durable writes.
@@ -351,7 +329,10 @@ func (n *ClusterNode) diskAppend(size int) {
 // with EnableWAL the bytes hit a real O_SYNC file first, on the node's
 // own loop, before the completion runs.
 func (n *ClusterNode) DiskWrite(size int, fn func()) {
-	if n.c.walDir == "" || n.c.walErr.Load() != nil {
+	n.c.mu.Lock()
+	backed := n.c.walDir != "" && n.c.walErr == nil
+	n.c.mu.Unlock()
+	if !backed {
 		n.enqueue(fn)
 		return
 	}

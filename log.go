@@ -13,8 +13,8 @@ import (
 // application (U-Ring Paxos because plain sockets have no ip-multicast,
 // §3.3.3).
 type ReplicatedLog struct {
-	agents map[NodeID]*URingAgent
-	nodes  map[NodeID]*ClusterNode
+	cluster *Cluster
+	agents  map[NodeID]*URingAgent
 }
 
 // LogConfig configures a ReplicatedLog.
@@ -48,7 +48,7 @@ type LogConfig struct {
 // file-backed durable writes; an unusable directory surfaces through
 // Cluster.WALError after the first append.
 func NewReplicatedLog(c *Cluster, cfg LogConfig) *ReplicatedLog {
-	l := &ReplicatedLog{agents: make(map[NodeID]*URingAgent), nodes: make(map[NodeID]*ClusterNode)}
+	l := &ReplicatedLog{cluster: c, agents: make(map[NodeID]*URingAgent)}
 	ucfg := ringpaxos.UConfig{
 		Ring:       cfg.Nodes,
 		Learners:   cfg.Nodes,
@@ -71,7 +71,7 @@ func NewReplicatedLog(c *Cluster, cfg LogConfig) *ReplicatedLog {
 			a.Deliver = func(inst int64, v Value) { cfg.Deliver(id, inst, v) }
 		}
 		l.agents[id] = a
-		l.nodes[id] = c.AddNode(id, a)
+		c.AddNode(id, a)
 	}
 	return l
 }
@@ -79,7 +79,7 @@ func NewReplicatedLog(c *Cluster, cfg LogConfig) *ReplicatedLog {
 // Propose submits v from the given ring node.
 func (l *ReplicatedLog) Propose(from NodeID, v Value) {
 	if a, ok := l.agents[from]; ok {
-		l.nodes[from].enqueue(func() { a.Propose(v) })
+		l.cluster.Node(from).enqueue(func() { a.Propose(v) })
 	}
 }
 
