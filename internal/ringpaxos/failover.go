@@ -2,9 +2,9 @@ package ringpaxos
 
 // Coordinator failover (§3.3): a ring-neighbor failure detector,
 // coordinator election within the ring, and ring reconfiguration that
-// excludes dead members. The machinery is shared between M-Ring and
-// U-Ring Paxos; each agent owns a foState and plugs in its own ring
-// layout rules (M-Ring: coordinator last, refill from spares; U-Ring:
+// excludes dead members. The ring core drives it for both variants
+// (ringCore.failoverTick and its handlers); each variant plugs in only
+// its layout rule (M-Ring: coordinator last, refill from spares; U-Ring:
 // coordinator first, acceptor segment shrinks).
 //
 // Everything here is opt-in via Failover on the config. With the zero
@@ -115,27 +115,4 @@ func (f *foState) reset() {
 func (f *foState) note(nominee proto.NodeID, rnd int64, now time.Duration) {
 	f.nominated, f.nominee, f.nomRnd = true, nominee, rnd
 	f.last = now
-}
-
-// ringContains reports whether ring includes id.
-func ringContains(ring []proto.NodeID, id proto.NodeID) bool {
-	for _, r := range ring {
-		if r == id {
-			return true
-		}
-	}
-	return false
-}
-
-// sameRing reports element-wise equality.
-func sameRing(a, b []proto.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -6,6 +6,7 @@ package ringpaxos
 // are deterministic fault.Schedule events on the simulated LAN.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -133,7 +134,7 @@ func TestMRingFailoverDoubleWithSpare(t *testing.T) {
 		t.Fatalf("coordinators after double failover: %v, want [0]", got)
 	}
 	a := d.agents[0]
-	if !ringContains(a.ring, 5) || ringContains(a.ring, 1) || ringContains(a.ring, 2) {
+	if !slices.Contains(a.ring, 5) || slices.Contains(a.ring, 1) || slices.Contains(a.ring, 2) {
 		t.Fatalf("reconfigured ring %v, want spare 5 in, dead 1/2 out", a.ring)
 	}
 	d.propose(1001, 30)

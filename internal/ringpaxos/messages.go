@@ -7,25 +7,37 @@ import (
 
 const headerBytes = 32 // modeled fixed header of every protocol message
 
-// Wire messages shared by M-Ring Paxos and U-Ring Paxos. The "m" prefix
-// marks multicast-variant messages, "u" the unicast variant.
+// Wire messages. The ring core's messages — Phase 1, failover and
+// ring-state catch-up — serve both variants and carry the "m" prefix
+// they were first written with, as do M-Ring's own Phase 2, decision,
+// retransmission, flow-control and snapshot messages. The "u" prefix
+// marks U-Ring's unicast Phase 2 and decision messages. Fields only one
+// variant reads are noted; the other leaves them zero.
 type (
 	// MsgPropose carries a client value toward the coordinator.
 	MsgPropose struct{ V core.Value }
 
 	// mPhase1A opens round Rnd and proposes the ring layout (§3.3.2: the
 	// coordinator proposes the ring before Phase 1; acceptors abide by it
-	// when they reply).
+	// when they reply). M-Ring always proposes its ring; U-Ring proposes a
+	// layout (Ring and acceptor count NAcc) only after a failover, and a
+	// nil Ring leaves the receiver's layout untouched.
 	mPhase1A struct {
 		Rnd  int64
 		Ring []proto.NodeID
+		NAcc int
 	}
-	// mPhase1B is an acceptor's promise with its prior votes. MaxInst is
-	// the highest instance the acceptor has ever seen, so a new coordinator
-	// resumes numbering above instances whose state was garbage-collected.
+	// mPhase1B is an acceptor's promise with its prior votes. M-Ring sets
+	// MaxInst, the highest instance the acceptor has ever seen, so a new
+	// coordinator resumes numbering above instances whose state was
+	// garbage-collected. U-Ring sets Floor, the acceptor's trim floor, so a
+	// new coordinator never resurrects a vote another acceptor already
+	// trimmed (such an instance would stall mid-ring at that acceptor's
+	// floor guard and pin a window slot forever).
 	mPhase1B struct {
 		Rnd     int64
 		MaxInst int64
+		Floor   int64
 		Votes   map[int64]vote
 	}
 	// mPhase2A proposes batch Val with unique id VID in instance Inst.
@@ -99,25 +111,6 @@ type (
 		Val  core.Batch
 		Hops int
 	}
-	// uPhase1A / uPhase1B run U-Ring's (infrequent, pre-executed) Phase 1
-	// over direct channels. Floor carries the acceptor's garbage-collection
-	// trim floor so a new coordinator never resurrects a vote another
-	// acceptor already trimmed (such an instance would stall mid-ring at
-	// that acceptor's floor guard and pin a window slot forever). Ring and
-	// NAcc, when set, propose a reconfigured ring layout (failover: the
-	// surviving quorum abides by it when it promises); a nil Ring leaves
-	// the receiver's layout untouched.
-	uPhase1A struct {
-		Rnd  int64
-		Ring []proto.NodeID
-		NAcc int
-	}
-	uPhase1B struct {
-		Rnd   int64
-		Votes map[int64]vote
-		Floor int64
-	}
-
 	// mHeartbeat is the failure detector's ring-neighbor beacon: each ring
 	// member sends one to its successor every Failover.Heartbeat and
 	// suspects its predecessor after Failover.Suspect of silence. Only ever
@@ -134,19 +127,13 @@ type (
 		Ring []proto.NodeID
 		NAcc int
 	}
-	// mRingChange announces a reconfigured ring on the multicast group
-	// after a takeover's Phase 1 completes, so learners and proposers —
-	// which are not ring members and never see mPhase1A — re-aim their
-	// retransmission requests and proposals at the new coordinator.
+	// mRingChange announces a reconfigured ring after a takeover's Phase 1
+	// completes. M-Ring multicasts it on the group, so learners and
+	// proposers — which are not ring members and never see mPhase1A —
+	// re-aim their retransmission requests and proposals at the new
+	// coordinator. U-Ring has no group: the change circulates once around
+	// the ring (Hops stops the revolution) with the acceptor count NAcc.
 	mRingChange struct {
-		Rnd  int64
-		Ring []proto.NodeID
-	}
-	// uRingChange circulates a reconfigured ring layout once around the
-	// U-Ring (there is no multicast group to announce on): every member
-	// adopts the new ring and acceptor count, re-routing succ() around the
-	// dead node. Hops stops the revolution.
-	uRingChange struct {
 		Rnd  int64
 		Ring []proto.NodeID
 		NAcc int
@@ -215,18 +202,9 @@ func (m uPhase2) Size() int        { return headerBytes + m.Val.Size() }
 func (m uDecision) Size() int {
 	return headerBytes + m.Val.Size()
 }
-func (m uPhase1A) Size() int    { return headerBytes + 4*len(m.Ring) }
 func (m mHeartbeat) Size() int  { return headerBytes }
 func (m mTakeOver) Size() int   { return headerBytes + 4*len(m.Ring) }
 func (m mRingChange) Size() int { return headerBytes + 4*len(m.Ring) }
-func (m uRingChange) Size() int { return headerBytes + 4*len(m.Ring) }
-func (m uPhase1B) Size() int {
-	n := headerBytes
-	for _, v := range m.Votes {
-		n += headerBytes + v.val.Size()
-	}
-	return n
-}
 func (m mSnapshot) Size() int {
 	return headerBytes + m.StateBytes + core.DedupEntryBytes*len(m.Dedup)
 }

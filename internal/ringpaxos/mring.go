@@ -9,9 +9,14 @@
 //     around a ring that contains every process.
 //
 // Both variants batch application values (8 KB / 32 KB packets), pipeline a
-// window of outstanding instances, recover lost messages by retransmission,
-// garbage-collect acceptor state using learner versions, and implement the
-// learner-driven flow control of §3.3.6.
+// window of outstanding instances and garbage-collect acceptor state using
+// learner versions. What they do the same way — election and the failure
+// detector, ring-state catch-up, crash recovery, batching, dedup, delivery
+// and GC trimming — is written once in ringCore (ringcore.go), which both
+// agents embed. Each agent keeps what the paper distinguishes: the Phase 1
+// quorum, how Phase 2 and decisions travel, its ring layout rule, and, for
+// M-Ring, gap recovery by retransmission, the learner-driven flow control
+// of §3.3.6, partitions, speculation and snapshots.
 //
 // # Hot-path design
 //
@@ -27,7 +32,7 @@ package ringpaxos
 
 import (
 	"math/bits"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -117,10 +122,11 @@ type MConfig struct {
 	// returns after the floor passed its frontier catches up by snapshot
 	// (mSnapshot). Zero keeps the floor pinned — the legacy semantics.
 	GCEvict time.Duration
-	// SnapshotBytes is the modeled application snapshot size for snapshot
-	// catch-up transfers. Zero resolves to 64 KB.
-	SnapshotBytes int
 }
+
+// snapshotBytes is the modeled application snapshot size of a snapshot
+// catch-up transfer (mSnapshot).
+const snapshotBytes = 64 << 10
 
 func (c *MConfig) defaults() {
 	if c.Window == 0 {
@@ -140,9 +146,6 @@ func (c *MConfig) defaults() {
 	}
 	if c.GCInterval < 0 {
 		c.GCInterval = 0 // explicit off: no version timer is ever armed
-	}
-	if c.SnapshotBytes == 0 {
-		c.SnapshotBytes = 64 << 10
 	}
 }
 
@@ -208,8 +211,6 @@ type learnEntry struct {
 // Any node (including dedicated proposer nodes) can Propose.
 type MAgent struct {
 	Cfg MConfig
-	// Deliver is invoked on learners for every value in delivery order.
-	Deliver core.DeliverFunc
 	// SpecDeliver, when Cfg.Speculative, is invoked on learners at Phase 2A
 	// receipt, in receipt order, before the value is decided.
 	SpecDeliver core.DeliverFunc
@@ -221,31 +222,18 @@ type MAgent struct {
 	// including empty/marker batches. Multi-Ring Paxos uses it to merge
 	// rings at consensus-instance granularity.
 	DeliverBatch func(inst int64, b core.Batch)
-	// Trace, if set, folds this learner's delivered command sequence into
-	// a delivery-equivalence digest (see core.DelivTrace). Pure
-	// observation: it sends nothing and consumes no simulated time.
-	Trace *core.DelivTrace
 	// Log is this process's write-ahead log, required when Cfg.Durability
 	// is DurWAL. It models the stable medium, so the DEPLOYMENT owns it
 	// (the rig sets it before Start): it survives the agent's crash the
 	// way a disk survives a process, and replayWAL reads it on restart.
 	Log *wal.Log
 
-	env proto.Env
+	ringCore
 
 	// --- coordinator state ---
-	isCoord      bool
-	phase1Done   bool
-	crnd         int64
-	promises     map[proto.NodeID]mPhase1B
-	pending      []core.Value
-	pendingBytes int
-	batchArmed   bool
-	next         int64
-	open         core.InstLog[openInst]
-	pool         core.BatchPool
-	window       int
-	lastSlow     time.Duration
+	open     core.InstLog[openInst]
+	window   int
+	lastSlow time.Duration
 	// decQ accumulates decided instance ids between flushes. The buffer is
 	// pooled: once multicast, the last receiver recycles it (core.DecBuf),
 	// so a steady decision stream reuses the same few arrays.
@@ -253,31 +241,12 @@ type MAgent struct {
 	timersArmed bool
 
 	// --- acceptor state ---
-	rnd     int64
-	maxInst int64
-	ring    []proto.NodeID
-	// coord is the coordinator this node currently routes proposals and
-	// gap-recovery requests to; ring changes re-aim it.
-	coord proto.NodeID
-	// fo is the failure detector / election state (inert unless
-	// Cfg.Failover is enabled).
-	fo foState
-	// retired marks a DurVolatile process that restarted after losing its
-	// acceptor state: classic Paxos forbids it from ever promising or
-	// voting again (it cannot remember what it promised), so it stays out
-	// of the acceptor and coordinator roles for the rest of the run. The
-	// learner role is unaffected.
-	retired   bool
+	maxInst   int64
 	store     core.InstLog[logEntry]
 	storeByte int
-	// versions tracks learner-reported applied instances and the trim
-	// floor (§3.3.7) through the shared garbage-collection subsystem.
-	versions   core.VersionTracker
-	quarantine [][]core.Value // trimmed pooled arrays awaiting one more GC round
 
 	// --- learner state ---
 	insts        core.InstLog[learnEntry]
-	nextDeliver  int64
 	maxDecided   int64
 	backlog      int
 	notified     bool
@@ -287,7 +256,6 @@ type MAgent struct {
 
 	// Pre-bound timer callbacks, assigned once at Start so the periodic
 	// paths schedule existing func values instead of allocating closures.
-	batchFn       func()
 	retryFn       func(int64)
 	decFlushFn    func()
 	winRecFn      func()
@@ -295,48 +263,21 @@ type MAgent struct {
 	versionFn     func()
 	notifyResetFn func()
 
-	// DeliveredBytes/DeliveredMsgs count application payload delivered at
-	// this learner.
-	DeliveredBytes int64
-	DeliveredMsgs  int64
-	// LatencySum accumulates propose-to-deliver latency for values whose
-	// Born field is set.
-	LatencySum   time.Duration
-	LatencyCount int64
-	// Latencies, if non-nil before Start, records each delivery latency.
-	Latencies *[]time.Duration
 	// SnapshotsInstalled counts snapshot catch-ups performed by this
 	// learner (mSnapshot installs that actually moved the frontier).
 	SnapshotsInstalled int64
-	// DupSuppressed counts stamped commands that were decided again (a
-	// client retry won a second instance) and were acked from the dedup
-	// table instead of re-executed.
-	DupSuppressed int64
-
-	// dedup is the exactly-once layer's replicated per-client
-	// last-applied-seq table (see core.DedupTable). Nil until the first
-	// stamped value is seen, so deployments without client sessions never
-	// allocate or consult it. Learners feed it at delivery; acceptors fold
-	// decided stamped values into theirs so the snapshot path can carry
-	// the table to catch-up learners.
-	dedup *core.DedupTable
-	// dedupSup is a reusable scratch marking which values of the batch
-	// being finished are duplicates (suppressed).
-	dedupSup []bool
 }
 
 var _ proto.Handler = (*MAgent)(nil)
 
 // Start implements proto.Handler.
 func (a *MAgent) Start(env proto.Env) {
-	a.env = env
 	a.Cfg.defaults()
+	a.start(env, a, a.Cfg.Ring, a.Cfg.Learners, a.Cfg.BatchBytes, a.Cfg.BatchDelay,
+		a.Cfg.Retry, a.Cfg.Failover, a.Cfg.Durability, a.Log)
+	a.coordLast, a.coord = true, a.Cfg.Coordinator()
 	a.window = a.Cfg.Window
 	a.maxInst = -1
-	a.ring = a.Cfg.Ring
-	a.coord = a.Cfg.Coordinator()
-	a.promises = make(map[proto.NodeID]mPhase1B)
-	a.batchFn = func() { a.batchArmed = false; a.flush() }
 	a.retryFn = a.retryInstance
 	a.decFlushFn = a.decisionFlushTick
 	a.winRecFn = a.windowRecoveryTick
@@ -350,62 +291,24 @@ func (a *MAgent) Start(env proto.Env) {
 		}
 	}
 	if env.ID() == a.Cfg.Coordinator() {
-		a.becomeCoordinator(1, a.Cfg.Ring)
+		a.becomeCoordinator(1, a.Cfg.Ring, 0)
 	}
 	if a.isLearner() {
 		a.armLearnerTimers()
 	}
-	if a.Cfg.Failover.Enabled() && (a.isAcceptor() || a.isSpare()) {
+	if a.Cfg.Failover.Enabled() && (a.isAcceptor() || slices.Contains(a.Cfg.Spares, env.ID())) {
 		// Ring members heartbeat from the start; spares arm the same tick
 		// but stay passive until a reconfiguration pulls them into the ring.
-		a.fo.tickFn = a.failoverTick
-		proto.AfterFree(a.env, a.Cfg.Failover.Heartbeat, a.fo.tickFn)
+		a.startDetector()
 	}
 }
 
-func (a *MAgent) isAcceptor() bool {
-	for _, id := range a.ring {
-		if id == a.env.ID() {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *MAgent) isLearner() bool {
-	for _, id := range a.Cfg.Learners {
-		if id == a.env.ID() {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *MAgent) isSpare() bool { return ringContains(a.Cfg.Spares, a.env.ID()) }
-
-// IsCoordinator reports whether this agent currently leads the ring with
-// a completed Phase 1. Failover-aware callers (skip pacers, rigs) consult
-// it instead of comparing against the static configuration.
-func (a *MAgent) IsCoordinator() bool { return a.isCoord && a.phase1Done }
+func (a *MAgent) isAcceptor() bool { return a.ringIndex() >= 0 }
 
 // Coordinator returns this agent's current view of the ring coordinator
 // (re-aimed by ring changes after a failover). Client sessions composed
 // with a proposer agent consult it to decide where a retry would go.
 func (a *MAgent) Coordinator() proto.NodeID { return a.coord }
-
-// DedupSeq returns the learner's last applied sequence for a client (0
-// when unknown) — the dedup table's view, for tests and probes.
-func (a *MAgent) DedupSeq(client int64) int64 { return a.dedup.Seq(client) }
-
-// ringIndex returns this node's position in the current ring, or -1.
-func (a *MAgent) ringIndex() int {
-	for i, id := range a.ring {
-		if id == a.env.ID() {
-			return i
-		}
-	}
-	return -1
-}
 
 // successor returns the next process after position i in the ring.
 func (a *MAgent) successor(i int) proto.NodeID { return a.ring[i+1] }
@@ -413,44 +316,23 @@ func (a *MAgent) successor(i int) proto.NodeID { return a.ring[i+1] }
 // preferential returns the ring acceptor assigned to learner id for
 // retransmissions and version reports (load balanced round-robin, §3.3.4).
 func (a *MAgent) preferential() proto.NodeID {
-	idx := 0
-	for i, id := range a.Cfg.Learners {
-		if id == a.env.ID() {
-			idx = i
-			break
-		}
-	}
+	idx := max(0, slices.Index(a.Cfg.Learners, a.env.ID()))
 	return a.ring[idx%len(a.ring)]
 }
 
-// becomeCoordinator starts Phase 1 with a fresh round and ring layout.
-func (a *MAgent) becomeCoordinator(minRound int64, ring []proto.NodeID) {
-	a.isCoord = true
-	a.phase1Done = false
-	a.promises = make(map[proto.NodeID]mPhase1B)
-	r := (minRound << 10) | int64(a.env.ID())
-	if r <= a.crnd {
-		r = (((a.crnd >> 10) + 1) << 10) | int64(a.env.ID())
-	}
-	a.crnd = r
+// sendPhase1A proposes the ring layout with the round to every ring
+// member: the whole ring is M-Ring's Phase 1 quorum.
+func (a *MAgent) sendPhase1A(ring []proto.NodeID, _ int) {
 	m := mPhase1A{Rnd: a.crnd, Ring: ring}
 	for _, id := range ring {
 		a.env.Send(id, m)
 	}
-	a.env.After(a.Cfg.Retry, func() {
-		if a.isCoord && !a.phase1Done {
-			a.becomeCoordinator(a.crnd>>10, ring)
-		}
-	})
 }
 
 // TakeOver promotes this agent to coordinator over newRing (failover and
 // reconfiguration entry point; the last element must be this node). The
 // reconfigured ring is announced on the group once Phase 1 completes.
-func (a *MAgent) TakeOver(newRing []proto.NodeID) {
-	a.fo.tookOver = true
-	a.becomeCoordinator((a.rnd>>10)+1, newRing)
-}
+func (a *MAgent) TakeOver(newRing []proto.NodeID) { a.takeOver(newRing, 0) }
 
 // ProposeBatch opens a consensus instance for b immediately, bypassing
 // batching and the flow-control window. Multi-Ring Paxos uses it for skip
@@ -481,11 +363,7 @@ func (a *MAgent) Propose(v core.Value) {
 
 // Receive implements proto.Handler.
 func (a *MAgent) Receive(from proto.NodeID, m proto.Message) {
-	// Any traffic from the monitored ring predecessor is a sign of life
-	// (one predictable branch when failover is disabled).
-	if a.fo.mon && from == a.fo.pred {
-		a.fo.last = a.env.Now()
-	}
+	a.heard(from)
 	switch msg := m.(type) {
 	case *MsgPropose:
 		if a.isCoord {
@@ -521,141 +399,56 @@ func (a *MAgent) Receive(from proto.NodeID, m proto.Message) {
 		a.onSlowDown(msg)
 	case proto.VersionReport:
 		a.onVersion(msg)
-	case mHeartbeat:
-		// Pure liveness beacon; the prologue above already recorded it.
-	case mTakeOver:
-		a.onTakeOver(msg)
 	case mRingChange:
-		a.onRingChange(msg)
+		if len(msg.Ring) > 0 && msg.Rnd >= a.rnd {
+			a.adoptLayout(msg.Rnd, msg.Ring, 0)
+		}
 	case mSnapshot:
 		a.onSnapshot(msg)
-	case mRingStateReq:
-		a.onRingStateReq(from)
-	case mRingState:
-		a.onRingState(msg)
+	default:
+		a.onControl(from, m)
 	}
 }
 
-// LoseVolatile implements proto.VolatileLoser: a crash that destroys
-// volatile state (fault.Lose) discards the staged client values awaiting
-// proposal, then applies the configured Durability to the protocol state.
-// Under the default DurModeled, acceptor votes, open instances and the
-// learner's reorder buffer are retained — the protocol treats them as
-// recoverable from stable storage that costs nothing. DurVolatile loses
-// them honestly and retires the process from the acceptor/coordinator
-// roles; DurWAL loses them and replays the write-ahead log. The learner's
-// delivery state is retained in every mode: it models the application's
-// own durable state, whose catch-up story is the snapshot path, not the
-// protocol WAL.
-func (a *MAgent) LoseVolatile() {
-	a.pending = a.pending[:0]
-	a.pendingBytes = 0
-	a.fo.reset()
-	switch a.Cfg.Durability {
-	case DurVolatile:
-		a.loseAcceptorState()
-		a.retired = true
-	case DurWAL:
-		a.loseAcceptorState()
-		a.replayWAL()
-	}
-	if a.Cfg.Failover.Enabled() && !a.retired {
-		// The ring may have been reconfigured during the outage: learn the
-		// current layout from a live member before re-arming the detector
-		// (failoverTick holds the monitor off while needRing is set).
-		a.fo.needRing = true
-	}
-}
-
-// loseAcceptorState wipes everything a Lose crash destroys in a process
-// with honest volatile state: promises, votes, the coordinator's soft
-// state, and the garbage-collection bookkeeping.
-func (a *MAgent) loseAcceptorState() {
-	a.rnd = 0
+// loseState wipes M-Ring's own acceptor and coordinator state on a Lose
+// crash (ringCore.wipe clears the rest).
+func (a *MAgent) loseState() {
 	a.maxInst = -1
 	a.store = core.InstLog[logEntry]{}
 	a.storeByte = 0
-	a.versions = core.VersionTracker{}
-	a.quarantine = nil
-	a.pool = core.BatchPool{}
-	a.isCoord, a.phase1Done = false, false
-	a.crnd = 0
-	a.promises = make(map[proto.NodeID]mPhase1B)
 	a.open = core.InstLog[openInst]{}
 	a.decQ = nil
 	a.timersArmed = false
 	a.window = a.Cfg.Window
-	a.fo.tookOver = false
 }
 
-// replayWAL rebuilds acceptor and coordinator state from the write-ahead
-// log after loseAcceptorState. Replayed votes re-enter the store with
-// diskDone set — the log IS the disk copy. A process that finds itself at
-// its ring's coordinator position re-enters Phase 1 one round above its
-// highest logged promise: unlike a volatile process it can prove every
-// promise it ever made, so resuming coordinatorship is safe (the classic
-// Paxos stable-storage rule that forces DurVolatile to retire instead).
-func (a *MAgent) replayWAL() {
-	a.Log.Replay(func(r wal.Record) {
-		switch r.Kind {
-		case wal.KindSnapshot:
-			a.versions.SetFloor(r.Inst)
-		case wal.KindPromise:
-			if r.Rnd > a.rnd {
-				a.rnd = r.Rnd
-			}
-		case wal.KindVote:
-			if r.Inst < a.versions.Floor() {
-				return
-			}
-			if r.Inst > a.maxInst {
-				a.maxInst = r.Inst
-			}
-			size := r.Val.Size()
-			e, _ := a.store.Put(r.Inst)
-			a.storeByte += size - e.bytes
-			e.vid, e.val, e.bytes, e.mask = r.VID, r.Val, size, r.Mask
-			e.diskDone = true
-		case wal.KindDecision:
-			if r.Inst < a.versions.Floor() {
-				return
-			}
-			e, _ := a.store.Put(r.Inst)
-			e.decided = true
-			if e.vid == 0 {
-				e.vid, e.mask = r.VID, r.Mask
-			} else {
-				// Rebuild the acceptor-side dedup table from the replayed
-				// decided batches (the table itself is volatile).
-				a.foldDedup(r.Inst, e.val)
-			}
+// replay restores a logged vote or decision. Replayed votes re-enter the
+// store with diskDone set — the log IS the disk copy.
+func (a *MAgent) replay(r wal.Record) {
+	switch r.Kind {
+	case wal.KindVote:
+		if r.Inst > a.maxInst {
+			a.maxInst = r.Inst
 		}
-	})
-	if n := len(a.ring); n > 0 && a.ring[n-1] == a.env.ID() {
-		// Still this ring's coordinator (as far as it knows — a stale
-		// layout's Phase 1 is fenced by higher-round promises, and the
-		// needRing catch-up corrects the layout).
-		a.becomeCoordinator((a.rnd>>10)+1, a.ring)
+		size := r.Val.Size()
+		e, _ := a.store.Put(r.Inst)
+		a.storeByte += size - e.bytes
+		e.vid, e.val, e.bytes, e.mask = r.VID, r.Val, size, r.Mask
+		e.diskDone = true
+	case wal.KindDecision:
+		e, _ := a.store.Put(r.Inst)
+		e.decided = true
+		if e.vid == 0 {
+			e.vid, e.mask = r.VID, r.Mask
+		} else {
+			// Rebuild the acceptor-side dedup table from the replayed
+			// decided batches (the table itself is volatile).
+			a.foldDedup(r.Inst, e.val)
+		}
 	}
 }
-
-// walOn reports whether this agent appends to a write-ahead log.
-func (a *MAgent) walOn() bool { return a.Cfg.Durability == DurWAL && a.Log != nil }
 
 // --- coordinator ---
-
-func (a *MAgent) enqueue(v core.Value) {
-	a.pending = append(a.pending, v)
-	a.pendingBytes += v.Bytes
-	if a.pendingBytes >= a.Cfg.BatchBytes {
-		a.flush()
-		return
-	}
-	if !a.batchArmed {
-		a.batchArmed = true
-		proto.AfterFree(a.env, a.Cfg.BatchDelay, a.batchFn)
-	}
-}
 
 // flush opens instances for pending batches while the window allows. In
 // partitioned mode values with different partition masks are batched
@@ -664,30 +457,33 @@ func (a *MAgent) flush() {
 	if !a.isCoord || !a.phase1Done {
 		return
 	}
-	for len(a.pending) > 0 && a.open.Len() < a.window {
-		mask := a.pending[0].PartMask
+	for a.pending.Len() > 0 && a.open.Len() < a.window {
+		mask := a.pending.At(0).PartMask
 		// Pre-count the batch so the pool hands out a right-sized array
 		// (sizing by the whole backlog would inflate pooled arrays under
 		// overload).
 		n, b := 0, 0
-		for _, v := range a.pending {
-			if b < a.Cfg.BatchBytes && v.PartMask == mask {
+		for i := 0; i < a.pending.Len() && b < a.Cfg.BatchBytes; i++ {
+			if v := a.pending.At(i); v.PartMask == mask {
 				n++
 				b += v.Bytes
 			}
 		}
+		// Move the batch out, rotating values of other partitions to the
+		// back in order; once the batch is full with nothing rotated, the
+		// rest of the queue is already in place.
 		batch := a.pool.Get(n)
-		bytes := 0
-		rest := a.pending[:0]
-		for _, v := range a.pending {
+		bytes, kept := 0, 0
+		for l := a.pending.Len(); l > 0 && (bytes < a.Cfg.BatchBytes || kept > 0); l-- {
+			v := a.pending.Pop()
 			if bytes < a.Cfg.BatchBytes && v.PartMask == mask {
 				batch = append(batch, v)
 				bytes += v.Bytes
 				continue
 			}
-			rest = append(rest, v)
+			a.pending.Push(v)
+			kept++
 		}
-		a.pending = rest
 		a.pendingBytes -= bytes
 		a.startInstance(core.Batch{Vals: batch}, mask, a.Cfg.RecycleBatches)
 	}
@@ -699,7 +495,7 @@ func (a *MAgent) startInstance(b core.Batch, mask uint64, pooled bool) {
 	inst := a.next
 	a.next++
 	oi, _ := a.open.Put(inst)
-	oi.vid = core.ValueID(a.crnd<<32 | inst)
+	oi.vid = a.freshVID(inst)
 	oi.val = b
 	oi.mask = mask
 	oi.pooled = pooled
@@ -754,14 +550,9 @@ func (a *MAgent) retryInstance(inst int64) {
 }
 
 func (a *MAgent) onPhase1B(from proto.NodeID, m mPhase1B) {
-	if !a.isCoord || m.Rnd != a.crnd || a.phase1Done {
-		return
-	}
-	a.promises[from] = m
-	if len(a.promises) < len(a.ring) {
+	if !a.promised(from, m, len(a.ring)) {
 		return // the whole ring is the m-quorum
 	}
-	a.phase1Done = true
 	for _, p := range a.promises {
 		if p.MaxInst >= a.next {
 			a.next = p.MaxInst + 1
@@ -770,37 +561,16 @@ func (a *MAgent) onPhase1B(from proto.NodeID, m mPhase1B) {
 	if a.maxInst >= a.next {
 		a.next = a.maxInst + 1
 	}
-	adopt := make(map[int64]vote)
-	for _, p := range a.promises {
-		for inst, v := range p.Votes {
-			if e, ok := a.store.Get(inst); ok && e.decided {
-				continue
-			}
-			if cur, ok := adopt[inst]; !ok || v.rnd > cur.rnd {
-				adopt[inst] = v
-			}
-		}
-	}
-	insts := make([]int64, 0, len(adopt))
-	for inst := range adopt {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
+	insts, adopt := a.adoptVotes()
 	for _, inst := range insts {
+		if e, ok := a.store.Get(inst); ok && e.decided {
+			continue
+		}
 		if inst >= a.next {
 			a.next = inst + 1
 		}
 		oi, _ := a.open.Put(inst)
-		// Keep the adopted vote's value id: consensus is on value ids, so
-		// an instance the dead coordinator may already have decided at some
-		// learner must be re-proposed as the SAME id, never a fresh one.
-		oi.vid = adopt[inst].vid
-		if oi.vid == 0 {
-			oi.vid = core.ValueID(a.crnd<<32 | inst)
-		}
-		oi.val = adopt[inst].val
-		oi.mask = 0
-		oi.pooled = false
+		oi.vid, oi.val, oi.mask, oi.pooled = adopt[inst].vid, adopt[inst].val, 0, false
 		a.sendPhase2A(inst, oi)
 	}
 	if a.fo.tookOver {
@@ -884,7 +654,7 @@ func (a *MAgent) decide(inst int64) {
 		// The decision is logged asynchronously: nothing gates on it (a
 		// crashed coordinator recovers undecided instances via Phase 1
 		// vote adoption; the record just shortcuts replay).
-		a.Log.Append(a.env, wal.Record{Kind: wal.KindDecision, Inst: inst, VID: vid, Mask: mask}, nil)
+		a.wal.Append(a.env, wal.Record{Kind: wal.KindDecision, Inst: inst, VID: vid, Mask: mask}, nil)
 	}
 	if a.decQ == nil {
 		a.decQ = core.GetDecBuf()
@@ -900,21 +670,10 @@ func (a *MAgent) decide(inst int64) {
 
 // --- acceptor ---
 
-func (a *MAgent) onPhase1A(from proto.NodeID, m mPhase1A) {
-	if m.Rnd <= a.rnd {
-		return
-	}
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDown()
-	}
-	a.rnd = m.Rnd
-	if len(m.Ring) > 0 {
-		a.ring = m.Ring // abide by the proposed ring
-		a.fo.needRing = false
-	}
+// answerPhase1A promises round rnd, reporting every stored vote.
+func (a *MAgent) answerPhase1A(to proto.NodeID, rnd int64) {
+	a.rnd = rnd
 	if !a.isAcceptor() || a.retired {
-		// A retired process must never promise again: it cannot remember
-		// what it promised before the crash.
 		return
 	}
 	reply := mPhase1B{Rnd: a.rnd, MaxInst: a.maxInst, Votes: make(map[int64]vote)}
@@ -924,15 +683,7 @@ func (a *MAgent) onPhase1A(from proto.NodeID, m mPhase1A) {
 		}
 		return true
 	})
-	if a.walOn() {
-		// The promise is binding only once durable: persist it before the
-		// 1B leaves (Phase 1 is rare, so the closure is off the hot path).
-		to := from
-		a.Log.Append(a.env, wal.Record{Kind: wal.KindPromise, Rnd: a.rnd},
-			func() { a.env.Send(to, reply) })
-		return
-	}
-	a.env.Send(from, reply)
+	a.promise(to, reply)
 }
 
 func (a *MAgent) onPhase2A(m mPhase2A) {
@@ -977,7 +728,7 @@ func (a *MAgent) onPhase2A(m mPhase2A) {
 		// the same parallel-across-the-ring write as DiskSync (§3.5.5),
 		// but with the record retained for crash replay.
 		inst, rnd, vid := m.Inst, m.Rnd, m.VID
-		a.Log.Append(a.env,
+		a.wal.Append(a.env,
 			wal.Record{Kind: wal.KindVote, Inst: inst, Rnd: rnd, VID: vid, Mask: m.Mask(), Val: m.Val},
 			func() { a.phase2AProceed(inst, rnd, vid) })
 	} else if a.Cfg.DiskSync {
@@ -1068,7 +819,7 @@ func (a *MAgent) onRetransmitReq(from proto.NodeID, m mRetransmitReq) {
 				// keeps suppressing retries of commands below the floor.
 				a.env.Send(from, mSnapshot{
 					Floor:      a.versions.Floor(),
-					StateBytes: a.Cfg.SnapshotBytes,
+					StateBytes: snapshotBytes,
 					Dedup:      a.dedup.Snapshot(),
 				})
 			}
@@ -1128,17 +879,14 @@ func (a *MAgent) onVersion(m proto.VersionReport) {
 		// floor; it catches up by snapshot when it returns.
 		a.versions.EvictStale(a.env.Now() - a.Cfg.GCEvict)
 	}
-	lo, hi, ok := a.versions.Advance(a.versions.Expect(len(a.Cfg.Learners)))
-	if !ok {
-		return
+	if lo, hi, ok := a.versions.Advance(a.versions.Expect(len(a.Cfg.Learners))); ok {
+		a.trim(lo, hi)
 	}
-	// Quarantine-then-recycle: arrays trimmed by the PREVIOUS pass go
-	// back to the pool now, a full version round later. At trim time
-	// every learner has reported the instance applied, but a learner
-	// that hands batches to a downstream consumer (the Multi-Ring Paxos
-	// merge) may still be holding the array for a short while; one
-	// extra GC round (≥ GCInterval) retires that window before reuse.
-	a.quarantine = a.pool.Recycle(a.quarantine)
+}
+
+// trimStore drops trimmed instances from the acceptor store, quarantining
+// pooled batch arrays (see ringCore.trim).
+func (a *MAgent) trimStore(lo, hi int64) {
 	a.store.Trim(lo, hi, func(_ int64, e *logEntry) {
 		if e.vid != 0 {
 			a.storeByte -= e.bytes
@@ -1147,15 +895,6 @@ func (a *MAgent) onVersion(m proto.VersionReport) {
 			a.quarantine = append(a.quarantine, e.val.Vals)
 		}
 	})
-	if a.walOn() {
-		// The log trims in lockstep with the store, bounding replay work
-		// the same way garbage collection bounds acceptor memory.
-		a.Log.Trim(a.versions.Floor())
-	}
-	// The dedup table trims in concert with the GC floor: rows of clients
-	// that announced departure (Retire) and whose last activity fell below
-	// the floor are dropped; live clients are never forgotten.
-	a.dedup.Trim(a.versions.Floor())
 }
 
 // StoreBytes reports the bytes of batch payload currently held by this
@@ -1300,89 +1039,14 @@ func (a *MAgent) process(inst int64, val core.Batch) {
 
 func (a *MAgent) finishInstance(inst int64, val core.Batch) {
 	a.backlog--
-	sup := a.dedupPass(inst, val)
-	if a.Trace != nil {
-		now := a.env.Now()
-		for i, v := range val.Vals {
-			if sup != nil && sup[i] {
-				continue
-			}
-			a.Trace.Note(now, inst, v)
-		}
-	}
+	sup := a.admit(inst, val)
 	if a.Confirm != nil {
 		a.Confirm(inst)
 	}
 	if a.DeliverBatch != nil {
 		a.DeliverBatch(inst, val)
 	}
-	for i, v := range val.Vals {
-		if sup != nil && sup[i] {
-			continue
-		}
-		a.DeliveredBytes += int64(v.Bytes)
-		a.DeliveredMsgs++
-		if v.Born != 0 {
-			lat := a.env.Now() - v.Born
-			a.LatencySum += lat
-			a.LatencyCount++
-			if a.Latencies != nil {
-				*a.Latencies = append(*a.Latencies, lat)
-			}
-		}
-		if a.Deliver != nil {
-			a.Deliver(inst, v)
-		}
-	}
-}
-
-// dedupPass runs the exactly-once check over a finished batch: the first
-// application of a stamped (client, seq) commits it to the dedup table
-// and acks the session; a sequence already in the table (a retry that won
-// a second consensus instance) is acked FROM the table and marked for
-// suppression — not traced, not delivered, not executed. The decision is
-// a pure function of the decided sequence and the table it built, so
-// every learner suppresses the same instances and delivered sequences
-// stay replica-identical. Returns nil, at the cost of one field compare
-// per value, when the batch carries no stamped values.
-func (a *MAgent) dedupPass(inst int64, val core.Batch) []bool {
-	stamped := false
-	for i := range val.Vals {
-		if val.Vals[i].Client != 0 {
-			stamped = true
-			break
-		}
-	}
-	if !stamped {
-		return nil
-	}
-	if a.dedup == nil {
-		a.dedup = core.NewDedupTable()
-	}
-	if cap(a.dedupSup) < len(val.Vals) {
-		a.dedupSup = make([]bool, len(val.Vals))
-	}
-	sup := a.dedupSup[:len(val.Vals)]
-	for i, v := range val.Vals {
-		sup[i] = false
-		if v.Client == 0 {
-			continue
-		}
-		if !a.dedup.Commit(v.Client, v.Seq, inst) {
-			sup[i] = true
-			a.DupSuppressed++
-		}
-		a.ackClient(v.Client, v.Seq)
-	}
-	return sup
-}
-
-// ackClient acknowledges (client, seq) to its session. Every learner acks
-// independently; sessions dedup.
-func (a *MAgent) ackClient(client, seq int64) {
-	m := proto.ClientAckPool.Get()
-	m.Client, m.Seq = client, seq
-	a.env.Send(proto.NodeID(client), m)
+	a.deliver(inst, val, sup)
 }
 
 // foldDedup folds a decided batch's stamped values into a NON-learner
@@ -1424,11 +1088,8 @@ func (a *MAgent) maybeNotifySlow() {
 
 // armLearnerTimers starts the learner's two persistent periodic timers,
 // once, at Start: the gap-recovery tick and — when GC is enabled — a
-// SINGLE version-report chain. Each chain re-arms only itself; the old
-// code re-armed the version chain from the retry tick as well, spawning a
-// fresh version chain every Retry, so version traffic grew linearly with
-// elapsed time (~50 chains per learner after one second at the default
-// Retry).
+// SINGLE version-report chain. Each chain re-arms only itself, so version
+// traffic stays constant over elapsed time.
 func (a *MAgent) armLearnerTimers() {
 	proto.AfterFree(a.env, a.Cfg.Retry, a.learnRetryFn)
 	if a.Cfg.GCInterval > 0 {
@@ -1482,106 +1143,17 @@ func (a *MAgent) requestMissing() {
 	a.env.Send(to, mRetransmitReq{Insts: miss})
 }
 
-// NextDeliver returns the learner's delivery frontier.
-func (a *MAgent) NextDeliver() int64 { return a.nextDeliver }
-
 // Window returns the coordinator's current flow-control window.
 func (a *MAgent) Window() int { return a.window }
 
-// --- failover ---
-
-// failoverTick is the periodic failure-detector beat: beacon the ring
-// successor, check the predecessor's silence window. Spares and evicted
-// ex-members keep ticking but stay passive while outside the ring.
-func (a *MAgent) failoverTick() {
-	if proto.EnvDown(a.env) || a.retired {
-		// A crashed process runs no failure detector: drop the monitor aim
-		// so the first post-restart tick re-observes a full silence window
-		// instead of acting on a timestamp from before the outage. A
-		// retired process must not beacon either — peers should treat the
-		// amnesiac as dead and reconfigure the ring around it.
-		a.fo.mon = false
-	} else if i := a.ringIndex(); i >= 0 && len(a.ring) > 1 {
-		n := len(a.ring)
-		a.env.Send(a.ring[(i+1)%n], mHeartbeat{Rnd: a.rnd})
-		if a.fo.needRing {
-			// Freshly restarted: hold the detector until a live member
-			// confirms the ring layout — suspicion computed from the stale
-			// pre-crash ring would churn a ring that already moved on.
-			a.fo.mon = false
-			a.requestRingState()
-		} else {
-			pred := a.ring[(i-1+n)%n]
-			if a.fo.observe(pred, a.env.Now(), a.Cfg.Failover.suspectAfter()) {
-				a.suspectPred(pred)
-			}
-		}
-	} else {
-		a.fo.mon = false
-	}
-	proto.AfterFree(a.env, a.Cfg.Failover.Heartbeat, a.fo.tickFn)
-}
-
-// requestRingState asks one ring member for the current layout, rotating
-// the target each tick so a dead first choice does not stall catch-up.
-func (a *MAgent) requestRingState() {
-	n := len(a.ring)
-	i := a.ringIndex()
-	if n <= 1 || i < 0 {
-		a.fo.needRing = false
-		return
-	}
-	off := 1 + a.fo.askIdx%(n-1)
-	a.fo.askIdx++
-	a.env.Send(a.ring[(i+off)%n], mRingStateReq{})
-}
-
-func (a *MAgent) onRingStateReq(from proto.NodeID) {
-	a.env.Send(from, mRingState{Rnd: a.rnd, Ring: a.ring})
-}
-
-// onRingState adopts the layout a live member reported after this node's
-// restart. Any reply clears needRing — even "your layout is current"
-// arms the detector — but only a layout at or above the local round is
-// adopted (a reply from a node staler than us must not rewind the ring).
-func (a *MAgent) onRingState(m mRingState) {
-	a.fo.needRing = false
-	if len(m.Ring) == 0 || m.Rnd < a.rnd {
-		return
-	}
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDown()
-	}
-	a.rnd = m.Rnd
-	a.ring = m.Ring
-	a.coord = m.Ring[len(m.Ring)-1]
-}
-
-// suspectPred declares the ring predecessor dead, lays out a ring of the
-// survivors (refilled from spares) and nominates the highest-id live
-// acceptor as coordinator. If a prior nomination produced no round
-// progress, foState.suspect already escalated past that nominee.
-func (a *MAgent) suspectPred(pred proto.NodeID) {
-	a.fo.suspect(pred, a.rnd)
-	newRing := a.electRing()
-	if len(newRing) == 0 {
-		return
-	}
-	nom := newRing[len(newRing)-1]
-	a.fo.note(nom, a.rnd, a.env.Now())
-	if nom == a.env.ID() {
-		a.TakeOver(newRing)
-		return
-	}
-	a.env.Send(nom, mTakeOver{Rnd: a.rnd, Ring: newRing})
-}
+// --- failover layout ---
 
 // electRing deterministically lays out the post-failure ring: the current
 // ring's survivors in order, refilled from configured spares up to the
 // original size, with the highest-id survivor moved to the coordinator
 // (last) position. Every correct detector computes the same layout from
 // the same dead set, so concurrent suspicions converge on one nominee.
-func (a *MAgent) electRing() []proto.NodeID {
+func (a *MAgent) electRing() ([]proto.NodeID, int) {
 	var survivors []proto.NodeID
 	for _, id := range a.ring {
 		if !a.fo.dead[id] {
@@ -1589,7 +1161,7 @@ func (a *MAgent) electRing() []proto.NodeID {
 		}
 	}
 	if len(survivors) == 0 {
-		return nil
+		return nil, 0
 	}
 	nom := survivors[0]
 	for _, id := range survivors {
@@ -1607,57 +1179,22 @@ func (a *MAgent) electRing() []proto.NodeID {
 		if len(out)+1 >= len(a.Cfg.Ring) {
 			break
 		}
-		if !a.fo.dead[id] && !ringContains(a.ring, id) && !ringContains(out, id) {
+		if !a.fo.dead[id] && !slices.Contains(a.ring, id) && !slices.Contains(out, id) {
 			out = append(out, id)
 		}
 	}
-	return append(out, nom)
+	return append(out, nom), 0
 }
 
-func (a *MAgent) onTakeOver(m mTakeOver) {
-	if !a.Cfg.Failover.Enabled() || a.retired || len(m.Ring) == 0 || m.Ring[len(m.Ring)-1] != a.env.ID() {
-		return
-	}
-	if a.isCoord && sameRing(a.ring, m.Ring) {
-		return // already coordinating (or running Phase 1 over) this layout
-	}
-	if m.Rnd > a.rnd {
-		a.rnd = m.Rnd
-	}
-	a.TakeOver(m.Ring)
-}
-
-func (a *MAgent) onRingChange(m mRingChange) {
-	if len(m.Ring) == 0 || m.Rnd < a.rnd {
-		return
-	}
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDown()
-	}
-	a.rnd = m.Rnd
-	a.ring = m.Ring
-	a.coord = m.Ring[len(m.Ring)-1]
-	a.fo.needRing = false
-}
-
-// standDown retires a stale coordinator that observed a higher round.
-// Every acceptor fences its Phase 1A/2A messages against the new round,
-// so retrying its open instances could never succeed — it would only
-// re-announce old-round values to learners. Queued decision ids are
-// flushed first: decisions are final at any round, and their vids let
-// learners fence them against re-proposals.
-func (a *MAgent) standDown() {
-	if !a.isCoord {
-		return
-	}
+// dropOpen is M-Ring's part of standDown: retrying the stale round's open
+// instances could only re-announce old-round values to learners. Queued
+// decision ids are flushed first: decisions are final at any round, and
+// their vids let learners fence them against re-proposals.
+func (a *MAgent) dropOpen() {
 	if b := a.decQ; b != nil {
 		a.decQ = nil
 		a.env.Multicast(a.Cfg.Group, mDecision{Insts: b.Insts, Masks: b.Masks, VIDs: b.Vids, decBuf: a.armDecBuf(b)})
 	}
-	a.isCoord, a.phase1Done = false, false
 	a.open = core.InstLog[openInst]{}
-	a.pending = a.pending[:0]
-	a.pendingBytes = 0
 	a.timersArmed = false
-	a.fo.tookOver = false
 }

@@ -7,6 +7,7 @@ package ringpaxos
 // schedules are deterministic fault.Schedule events on the simulated LAN.
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -40,7 +41,7 @@ func deployMDurable(t *testing.T, dur Durability, evict time.Duration, fo Failov
 	logs := make(map[proto.NodeID]*wal.Log)
 	add := func(id proto.NodeID) {
 		a := &MAgent{Cfg: cfg}
-		if dur == DurWAL && ringContains(cfg.Ring, id) {
+		if dur == DurWAL && slices.Contains(cfg.Ring, id) {
 			logs[id] = &wal.Log{}
 			a.Log = logs[id]
 		}
@@ -283,64 +284,135 @@ func TestMRingSnapshotCatchUp(t *testing.T) {
 	}
 }
 
-// TestMRingRestartRingStateCatchUp is the failover follow-on regression
-// test: node 0 crashes and restarts AFTER the ring was reconfigured
-// around a permanently dead coordinator. Without the ring-state catch-up
-// the restarted node would aim its failure detector at the stale
-// pre-crash layout, suspect its long-dead ex-predecessor and nominate a
-// takeover of a ring that already moved on. With it, the node asks a
-// live member for the current layout before arming the detector, adopts
-// it, and the settled coordinator stays unchallenged.
-func TestMRingRestartRingStateCatchUp(t *testing.T) {
-	sched := fault.New(1).
-		CrashFor(100*time.Millisecond, 300*time.Millisecond, 0, fault.Lose).
-		Crash(150*time.Millisecond, 3, fault.Lose)
-	cfg := MConfig{Group: 1, Failover: testFailover}
-	for i := 0; i < 4; i++ {
-		cfg.Ring = append(cfg.Ring, proto.NodeID(i))
+// TestRingRestartRingStateCatchUp is the failover follow-on regression
+// test, run over both variants: a node crashes and restarts AFTER the ring
+// was reconfigured around a permanently dead coordinator. Without the
+// ring-state catch-up the restarted node would aim its failure detector
+// at the stale pre-crash layout, suspect a node that is no longer its
+// predecessor and nominate a takeover of a ring that already moved on.
+// With it, the node asks a live member for the current layout before
+// arming the detector, adopts it, and the settled coordinator stays
+// unchallenged.
+//
+//   - mring: node 0 is down while coordinator 3 dies; the election
+//     settles on 2 over [1 2], leaving the restarted node outside the ring.
+//   - uring: ring [0 1 2 4 3], every process an acceptor. Node 3 is down
+//     while coordinator 0 dies; its only watcher was 0, so the election
+//     keeps it: 4 takes over [4 1 2 3], and 3 returns as an acceptor whose
+//     predecessor changed from 4 to 2. Its stale layout would have it
+//     suspect the silent 4 and challenge the new coordinator.
+func TestRingRestartRingStateCatchUp(t *testing.T) {
+	cases := []struct {
+		name string
+		// deploy starts the deployment and returns each ring member's core.
+		deploy            func() (*lan.LAN, map[proto.NodeID]*ringCore)
+		restarted, winner proto.NodeID
+		others            []proto.NodeID // surviving ring members besides the two above
+		settle            time.Duration  // election settled, restarted node still down
+		inRing            bool           // the restarted node belongs to the new layout
+		wantPred          proto.NodeID   // its new predecessor, when inRing
+		horizon           time.Duration
+	}{
+		{
+			name: "mring",
+			deploy: func() (*lan.LAN, map[proto.NodeID]*ringCore) {
+				sched := fault.New(1).
+					CrashFor(100*time.Millisecond, 300*time.Millisecond, 0, fault.Lose).
+					Crash(150*time.Millisecond, 3, fault.Lose)
+				cfg := MConfig{Group: 1, Failover: testFailover, Learners: []proto.NodeID{100}}
+				for i := 0; i < 4; i++ {
+					cfg.Ring = append(cfg.Ring, proto.NodeID(i))
+				}
+				l := lan.New(lan.DefaultConfig(), 1)
+				cores := make(map[proto.NodeID]*ringCore)
+				for _, id := range append(cfg.Ring, 100) {
+					a := &MAgent{Cfg: cfg}
+					cores[id] = &a.ringCore
+					l.AddNode(id, a)
+					l.Subscribe(1, id)
+				}
+				l.InstallFaults(sched)
+				l.Start()
+				return l, cores
+			},
+			restarted: 0, winner: 2, others: []proto.NodeID{1},
+			settle: 390 * time.Millisecond, horizon: time.Second,
+		},
+		{
+			name: "uring",
+			deploy: func() (*lan.LAN, map[proto.NodeID]*ringCore) {
+				sched := fault.New(1).
+					Crash(100*time.Millisecond, 0, fault.Lose).
+					CrashFor(100*time.Millisecond, 40*time.Millisecond, 3, fault.Lose)
+				ring := []proto.NodeID{0, 1, 2, 4, 3}
+				// A wider suspicion window than testFailover's leaves room
+				// for the election to finish inside node 3's outage.
+				fo := Failover{Heartbeat: 2 * time.Millisecond, Suspect: 30 * time.Millisecond}
+				cfg := UConfig{Ring: ring, Learners: ring, NumAcceptors: len(ring), Failover: fo}
+				l := lan.New(lan.DefaultConfig(), 1)
+				cores := make(map[proto.NodeID]*ringCore)
+				for _, id := range ring {
+					a := &UAgent{Cfg: cfg}
+					cores[id] = &a.ringCore
+					l.AddNode(id, a)
+				}
+				l.InstallFaults(sched)
+				l.Start()
+				return l, cores
+			},
+			restarted: 3, winner: 4, others: []proto.NodeID{1, 2},
+			settle: 138 * time.Millisecond, horizon: time.Second,
+			inRing: true, wantPred: 2,
+		},
 	}
-	cfg.Learners = []proto.NodeID{100}
-	d := &mDeploy{
-		l:      lan.New(lan.DefaultConfig(), 1),
-		agents: make(map[proto.NodeID]*MAgent),
-		deliv:  make(map[proto.NodeID][]core.ValueID),
-		spec:   make(map[proto.NodeID][]core.ValueID),
-	}
-	d.learners = cfg.Learners
-	add := func(id proto.NodeID) {
-		a := &MAgent{Cfg: cfg}
-		a.Deliver = func(inst int64, v core.Value) {
-			d.deliv[id] = append(d.deliv[id], v.ID)
-		}
-		d.agents[id] = a
-		d.l.AddNode(id, a)
-		d.l.Subscribe(1, id)
-	}
-	for _, id := range cfg.Ring {
-		add(id)
-	}
-	add(100)
-	d.prop = d.agents[100]
-	d.l.InstallFaults(sched)
-	d.l.Start()
-	// Let the election settle while node 0 is still down, note the
-	// winner's round, then let node 0 restart and observe for a while.
-	d.l.Run(390 * time.Millisecond)
-	if got := coordinators(d.agents, 1, 2); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("coordinators before restart: %v, want [2]", got)
-	}
-	settled := d.agents[2].crnd
-	d.l.Run(610 * time.Millisecond)
-	if got := coordinators(d.agents, 0, 1, 2); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("coordinators after restart: %v, want [2]", got)
-	}
-	if d.agents[2].crnd != settled {
-		t.Fatalf("restarted node forced a re-election: round %d -> %d", settled, d.agents[2].crnd)
-	}
-	if got := d.agents[0].ring; !sameRing(got, d.agents[2].ring) {
-		t.Fatalf("restarted node's ring %v, want the reconfigured %v", got, d.agents[2].ring)
-	}
-	if d.agents[0].fo.needRing {
-		t.Fatal("ring-state catch-up never completed")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, cores := tc.deploy()
+			coordinators := func(ids ...proto.NodeID) []proto.NodeID {
+				var out []proto.NodeID
+				for _, id := range ids {
+					if cores[id].IsCoordinator() {
+						out = append(out, id)
+					}
+				}
+				return out
+			}
+			live := append([]proto.NodeID{tc.winner}, tc.others...)
+			// Let the election settle while the restarted node is still
+			// down, note the winner's round, then let it restart and
+			// observe for a while.
+			l.Run(tc.settle)
+			if got := coordinators(live...); len(got) != 1 || got[0] != tc.winner {
+				t.Fatalf("coordinators before restart: %v, want [%d]", got, tc.winner)
+			}
+			win, back := cores[tc.winner], cores[tc.restarted]
+			settled := win.crnd
+			l.Run(tc.horizon - tc.settle)
+			if got := coordinators(append(live, tc.restarted)...); len(got) != 1 || got[0] != tc.winner {
+				t.Fatalf("coordinators after restart: %v, want [%d]", got, tc.winner)
+			}
+			if win.crnd != settled {
+				t.Fatalf("restarted node forced a re-election: round %d -> %d", settled, win.crnd)
+			}
+			if !slices.Equal(back.ring, win.ring) {
+				t.Fatalf("restarted node's ring %v, want the reconfigured %v", back.ring, win.ring)
+			}
+			if back.fo.needRing {
+				t.Fatal("ring-state catch-up never completed")
+			}
+			i := back.ringIndex()
+			if !tc.inRing {
+				if i >= 0 {
+					t.Fatalf("restarted node at position %d of %v, want it left out", i, back.ring)
+				}
+				return
+			}
+			if i < 0 || i >= back.nacc {
+				t.Fatalf("restarted node at position %d of %v (%d acceptors), want an acceptor", i, back.ring, back.nacc)
+			}
+			if pred := back.ring[(i-1+len(back.ring))%len(back.ring)]; pred != tc.wantPred {
+				t.Fatalf("restarted node's predecessor %d, want %d", pred, tc.wantPred)
+			}
+		})
 	}
 }

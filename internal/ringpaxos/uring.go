@@ -1,7 +1,6 @@
 package ringpaxos
 
 import (
-	"sort"
 	"time"
 
 	"repro/internal/core"
@@ -108,88 +107,34 @@ var (
 // UAgent is one U-Ring Paxos process.
 type UAgent struct {
 	Cfg UConfig
-	// Deliver is invoked on learners for every value in delivery order.
-	Deliver core.DeliverFunc
-	// Trace, if set, folds this learner's delivered command sequence into
-	// a delivery-equivalence digest (see core.DelivTrace). Pure
-	// observation: it sends nothing and consumes no simulated time.
-	Trace *core.DelivTrace
 	// Log is this process's write-ahead log, required when Cfg.Durability
 	// is DurWAL. The deployment owns it (the rig sets it before Start):
 	// it survives the agent's crash the way a disk survives a process.
 	Log *wal.Log
 
-	env proto.Env
+	ringCore
 
 	// coordinator state
-	isCoord      bool
-	phase1Done   bool
-	crnd         int64
-	promises     map[proto.NodeID]uPhase1B
-	pending      core.ValueSlab
-	pendingBytes int
-	batchArmed   bool
-	batchFn      func()
-	next         int64
-	openCount    int
-	pool         core.BatchPool
+	openCount int
 
-	// acceptor state
-	rnd   int64
-	votes core.InstLog[vote]
-	// retired marks a DurVolatile process that restarted after losing its
-	// acceptor state: it must never promise or vote again, and it drops
-	// client proposals addressed to a coordinatorship it cannot resume
-	// (see LoseVolatile). The learner role is unaffected.
-	retired bool
-
-	// ring layout state: the live ring and its acceptor-segment length,
-	// re-laid-out by failover reconfigurations. ringRnd dedupes circulating
-	// ring-change announcements; fo is the failure detector (inert unless
-	// Cfg.Failover is enabled).
-	ring    []proto.NodeID
-	nacc    int
-	ringRnd int64
-	fo      foState
-
-	// garbage-collection state (shared subsystem, §3.3.7): every ring
-	// process tracks learner versions — reports pipeline around the whole
-	// ring — and trims its vote log when the floor advances.
-	gc         core.VersionTracker
-	quarantine [][]core.Value // trimmed pooled arrays awaiting one more GC round
-	versionFn  func()
+	// acceptor state: the vote log. Every ring process also tracks learner
+	// versions — reports pipeline around the whole ring — and trims it when
+	// the floor advances.
+	votes     core.InstLog[vote]
+	versionFn func()
 
 	// learner state
-	learned     core.InstLog[core.Batch]
-	nextDeliver int64
-	// dedup is the exactly-once layer's per-client last-applied-seq table
-	// (nil until the first stamped value, zero cost without client
-	// sessions); dedupSup is the per-batch suppression scratch.
-	dedup    *core.DedupTable
-	dedupSup []bool
-
-	// DeliveredBytes/DeliveredMsgs count application payload delivered at
-	// this learner.
-	DeliveredBytes int64
-	DeliveredMsgs  int64
-	LatencySum     time.Duration
-	LatencyCount   int64
-	Latencies      *[]time.Duration
-	// DupSuppressed counts stamped commands acked from the dedup table
-	// instead of re-executed.
-	DupSuppressed int64
+	learned core.InstLog[core.Batch]
 }
 
 var _ proto.Handler = (*UAgent)(nil)
 
 // Start implements proto.Handler.
 func (a *UAgent) Start(env proto.Env) {
-	a.env = env
 	a.Cfg.defaults()
-	a.ring = a.Cfg.Ring
+	a.start(env, a, a.Cfg.Ring, a.Cfg.Learners, a.Cfg.BatchBytes, a.Cfg.BatchDelay,
+		a.Cfg.Retry, a.Cfg.Failover, a.Cfg.Durability, a.Log)
 	a.nacc = a.Cfg.NumAcceptors
-	a.promises = make(map[proto.NodeID]uPhase1B)
-	a.batchFn = func() { a.batchArmed = false; a.flush() }
 	a.versionFn = a.versionTick
 	if env.ID() == a.Cfg.Coordinator() {
 		a.becomeCoordinator(1, a.Cfg.Ring, a.Cfg.NumAcceptors)
@@ -198,18 +143,11 @@ func (a *UAgent) Start(env proto.Env) {
 		proto.AfterFree(a.env, a.Cfg.GCInterval, a.versionFn)
 	}
 	if a.Cfg.Failover.Enabled() && a.ringIndex() >= 0 {
-		a.fo.tickFn = a.failoverTick
-		proto.AfterFree(a.env, a.Cfg.Failover.Heartbeat, a.fo.tickFn)
+		// Every ring member runs the detector — U-Ring has no multicast
+		// group, so a learner-segment member may be the one that detects a
+		// dead coordinator's silence.
+		a.startDetector()
 	}
-}
-
-func (a *UAgent) ringIndex() int {
-	for i, id := range a.ring {
-		if id == a.env.ID() {
-			return i
-		}
-	}
-	return -1
 }
 
 func (a *UAgent) succ() proto.NodeID {
@@ -228,51 +166,23 @@ func (a *UAgent) lastAcceptor() bool {
 	return a.ringIndex() == a.nacc-1
 }
 
-// IsCoordinator reports whether this agent currently leads the ring with
-// a completed Phase 1 (failover-aware).
-func (a *UAgent) IsCoordinator() bool { return a.isCoord && a.phase1Done }
-
 // Coordinator returns this agent's current view of the ring coordinator
 // (the first ring position; re-laid-out by failover reconfigurations).
 func (a *UAgent) Coordinator() proto.NodeID { return a.ring[0] }
 
-// DedupSeq returns the learner's last applied sequence for a client (0
-// when unknown) — the dedup table's view, for tests and probes.
-func (a *UAgent) DedupSeq(client int64) int64 { return a.dedup.Seq(client) }
-
-func (a *UAgent) isLearner() bool {
-	for _, id := range a.Cfg.Learners {
-		if id == a.env.ID() {
-			return true
-		}
-	}
-	return false
-}
-
-func (a *UAgent) becomeCoordinator(minRound int64, ring []proto.NodeID, nacc int) {
-	a.isCoord = true
-	a.phase1Done = false
-	a.promises = make(map[proto.NodeID]uPhase1B)
+// sendPhase1A runs U-Ring's (infrequent, pre-executed) Phase 1 over direct
+// channels to the acceptor segment of ring, which this coordinator heads.
+func (a *UAgent) sendPhase1A(ring []proto.NodeID, nacc int) {
 	a.ring, a.nacc = ring, nacc
-	r := (minRound << 10) | int64(a.env.ID())
-	if r <= a.crnd {
-		r = (((a.crnd >> 10) + 1) << 10) | int64(a.env.ID())
-	}
-	a.crnd = r
-	m := uPhase1A{Rnd: a.crnd}
+	m := mPhase1A{Rnd: a.crnd}
 	if a.fo.tookOver {
 		// Propose the reconfigured layout with the round: the surviving
 		// quorum abides by it when it promises.
 		m.Ring, m.NAcc = ring, nacc
 	}
-	for i := 0; i < nacc; i++ {
-		a.env.Send(ring[i], m)
+	for _, id := range ring[:nacc] {
+		a.env.Send(id, m)
 	}
-	a.env.After(a.Cfg.Retry, func() {
-		if a.isCoord && !a.phase1Done {
-			a.becomeCoordinator(a.crnd>>10, ring, nacc)
-		}
-	})
 }
 
 // Propose submits a value from this node; non-coordinators forward it along
@@ -289,11 +199,7 @@ func (a *UAgent) Propose(v core.Value) {
 
 // Receive implements proto.Handler.
 func (a *UAgent) Receive(from proto.NodeID, m proto.Message) {
-	// Any traffic from the monitored ring predecessor is a sign of life
-	// (one predictable branch when failover is disabled).
-	if a.fo.mon && from == a.fo.pred {
-		a.fo.last = a.env.Now()
-	}
+	a.heard(from)
 	switch msg := m.(type) {
 	case *MsgPropose:
 		if a.isCoord {
@@ -314,9 +220,9 @@ func (a *UAgent) Receive(from proto.NodeID, m proto.Message) {
 		} else {
 			a.env.Send(a.succ(), msg)
 		}
-	case uPhase1A:
+	case mPhase1A:
 		a.onPhase1A(from, msg)
-	case uPhase1B:
+	case mPhase1B:
 		a.onPhase1B(from, msg)
 	case *uPhase2:
 		a.onPhase2(msg)
@@ -324,117 +230,36 @@ func (a *UAgent) Receive(from proto.NodeID, m proto.Message) {
 		a.onDecision(msg)
 	case proto.VersionReport:
 		a.onVersionReport(msg)
-	case mHeartbeat:
-		// Pure liveness beacon; the prologue above already recorded it.
-	case mTakeOver:
-		a.onTakeOver(msg)
-	case uRingChange:
+	case mRingChange:
 		a.onRingChange(msg)
-	case mRingStateReq:
-		a.onRingStateReq(from)
-	case mRingState:
-		a.onRingState(msg)
+	default:
+		a.onControl(from, m)
 	}
 }
 
-// LoseVolatile implements proto.VolatileLoser: a crash that destroys
-// volatile state (fault.Lose) discards the staged client values awaiting
-// proposal, then applies the configured Durability. Under the default
-// DurModeled, votes and the learner frontier are retained (modeled
-// durable; U-Ring's reliable ring has no retransmission path, so losing
-// them would stall the ring forever — fault schedules for U-Ring use
-// freezes and partitions, which its TCP channels survive losslessly).
-// DurVolatile loses them honestly and retires the process from the
-// acceptor/coordinator roles — a crashed U-Ring coordinator then stalls
-// the ring for good unless failover reconfigures around it. DurWAL loses
-// them and replays the write-ahead log; a recovered coordinator re-enters
-// Phase 1 and the ring resumes.
-func (a *UAgent) LoseVolatile() {
-	a.pending.PopFront(a.pending.Len())
-	a.pendingBytes = 0
-	a.fo.reset()
-	switch a.Cfg.Durability {
-	case DurVolatile:
-		a.loseUState()
-		a.retired = true
-	case DurWAL:
-		a.loseUState()
-		a.replayWAL()
-	}
-	if a.Cfg.Failover.Enabled() && !a.retired {
-		// Learn the current ring layout from a live member before
-		// re-arming the detector (the layout may have changed during the
-		// outage; failoverTick holds the monitor off while needRing is set).
-		a.fo.needRing = true
-	}
-}
-
-// loseUState wipes everything a Lose crash destroys in a process with
-// honest volatile state: promises, votes, coordinator soft state and the
-// garbage-collection bookkeeping. Learner delivery state is retained in
-// every mode — it models the application's own durable state.
-func (a *UAgent) loseUState() {
-	a.rnd = 0
+// loseState wipes U-Ring's own acceptor and coordinator state on a Lose
+// crash (ringCore.wipe clears the rest). U-Ring's reliable ring has no
+// retransmission path: lost votes stall it unless failover reconfigures
+// around the process or its log restores them.
+func (a *UAgent) loseState() {
 	a.votes = core.InstLog[vote]{}
-	a.gc = core.VersionTracker{}
-	a.quarantine = nil
-	a.pool = core.BatchPool{}
-	a.isCoord, a.phase1Done = false, false
-	a.crnd = 0
-	a.promises = make(map[proto.NodeID]uPhase1B)
 	a.openCount = 0
 	a.next = 0
-	a.fo.tookOver = false
 }
 
-// replayWAL rebuilds acceptor state from the write-ahead log after
-// loseUState. A process that finds itself at its ring's coordinator
-// position re-enters Phase 1 one round above its highest logged promise:
-// it can prove every promise it ever made, so resuming coordinatorship
-// is safe — the recovery U-Ring Paxos needs, since a dead coordinator
-// otherwise stalls the whole ring.
-func (a *UAgent) replayWAL() {
-	a.Log.Replay(func(r wal.Record) {
-		switch r.Kind {
-		case wal.KindSnapshot:
-			a.gc.SetFloor(r.Inst)
-		case wal.KindPromise:
-			if r.Rnd > a.rnd {
-				a.rnd = r.Rnd
-			}
-		case wal.KindVote:
-			if r.Inst < a.gc.Floor() {
-				return
-			}
-			v, _ := a.votes.Put(r.Inst)
-			*v = vote{rnd: r.Rnd, vid: r.VID, val: r.Val}
-			if r.Inst >= a.next {
-				a.next = r.Inst + 1
-			}
-		}
-	})
-	if len(a.ring) > 0 && a.ring[0] == a.env.ID() {
-		a.becomeCoordinator((a.rnd>>10)+1, a.ring, a.nacc)
-	}
-}
-
-// walOn reports whether this agent appends to a write-ahead log.
-func (a *UAgent) walOn() bool { return a.Cfg.Durability == DurWAL && a.Log != nil }
-
-// --- coordinator ---
-
-func (a *UAgent) enqueue(v core.Value) {
-	a.pending.Push(v)
-	a.pendingBytes += v.Bytes
-	if a.pendingBytes >= a.Cfg.BatchBytes {
-		a.flush()
+// replay restores a logged vote; U-Ring logs no decisions.
+func (a *UAgent) replay(r wal.Record) {
+	if r.Kind != wal.KindVote {
 		return
 	}
-	if !a.batchArmed {
-		a.batchArmed = true
-		proto.AfterFree(a.env, a.Cfg.BatchDelay, a.batchFn)
+	v, _ := a.votes.Put(r.Inst)
+	*v = vote{rnd: r.Rnd, vid: r.VID, val: r.Val}
+	if r.Inst >= a.next {
+		a.next = r.Inst + 1
 	}
 }
+
+// --- coordinator ---
 
 func (a *UAgent) flush() {
 	if !a.isCoord || !a.phase1Done {
@@ -452,7 +277,7 @@ func (a *UAgent) startInstance(b core.Batch, pooled bool) {
 	inst := a.next
 	a.next++
 	a.openCount++
-	vid := core.ValueID(a.crnd<<32 | inst)
+	vid := a.freshVID(inst)
 	// The coordinator votes itself and sends the combined 2A/2B onward.
 	v, _ := a.votes.Put(inst)
 	*v = vote{rnd: a.crnd, vid: vid, val: b, pooled: pooled}
@@ -460,7 +285,7 @@ func (a *UAgent) startInstance(b core.Batch, pooled bool) {
 	m.Inst, m.Rnd, m.VID, m.Val = inst, a.crnd, vid, b
 	if a.walOn() {
 		// The coordinator's self-vote hits the log before the 2A/2B leaves.
-		a.Log.Append(a.env, wal.Record{Kind: wal.KindVote, Inst: inst, Rnd: a.crnd, VID: vid, Val: b},
+		a.wal.Append(a.env, wal.Record{Kind: wal.KindVote, Inst: inst, Rnd: a.crnd, VID: vid, Val: b},
 			func() { a.forwardPhase2(m) })
 	} else if a.Cfg.DiskSync {
 		a.env.DiskWrite(b.Size()+headerBytes, func() { a.forwardPhase2(m) })
@@ -479,96 +304,54 @@ func (a *UAgent) forwardPhase2(m *uPhase2) {
 	a.env.Send(a.succ(), m)
 }
 
-func (a *UAgent) onPhase1A(from proto.NodeID, m uPhase1A) {
-	if m.Rnd <= a.rnd {
-		return
-	}
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDownU()
-	}
-	if len(m.Ring) > 0 {
-		a.ring, a.nacc = m.Ring, m.NAcc // abide by the proposed layout
-		a.fo.needRing = false
-	}
+// answerPhase1A promises round rnd with the vote log and trim floor.
+func (a *UAgent) answerPhase1A(to proto.NodeID, rnd int64) {
 	if !a.isAcceptor() || a.retired {
-		// A retired process must never promise again: it cannot remember
-		// what it promised before the crash.
 		return
 	}
-	a.rnd = m.Rnd
-	reply := uPhase1B{Rnd: a.rnd, Votes: make(map[int64]vote), Floor: a.gc.Floor()}
+	a.rnd = rnd
+	reply := mPhase1B{Rnd: a.rnd, Votes: make(map[int64]vote), Floor: a.versions.Floor()}
 	a.votes.Range(func(inst int64, v *vote) bool {
 		reply.Votes[inst] = *v
 		return true
 	})
-	if a.walOn() {
-		// The promise is binding only once durable: persist it before the
-		// 1B leaves (Phase 1 is rare, so the closure is off the hot path).
-		to := from
-		a.Log.Append(a.env, wal.Record{Kind: wal.KindPromise, Rnd: a.rnd},
-			func() { a.env.Send(to, reply) })
-		return
-	}
-	a.env.Send(from, reply)
+	a.promise(to, reply)
 }
 
-func (a *UAgent) onPhase1B(from proto.NodeID, m uPhase1B) {
-	if !a.isCoord || m.Rnd != a.crnd || a.phase1Done {
-		return
-	}
-	a.promises[from] = m
+func (a *UAgent) onPhase1B(from proto.NodeID, m mPhase1B) {
 	// The quorum is a majority of the ORIGINAL 2f+1 acceptors even after a
 	// reconfiguration shrank the live segment: any value chosen in an
 	// earlier round reached a majority of the original set, so only an
 	// original-majority intersection is guaranteed to surface it.
-	if len(a.promises) < a.Cfg.NumAcceptors/2+1 {
+	if !a.promised(from, m, a.Cfg.NumAcceptors/2+1) {
 		return
 	}
-	a.phase1Done = true
 	// Adopt the quorum's highest trim floor first: the floor guard below
 	// then filters votes for instances some acceptor already trimmed.
 	for _, p := range a.promises {
-		a.gc.SetFloor(p.Floor)
+		a.versions.SetFloor(p.Floor)
 	}
-	if f := a.gc.Floor(); f > a.next {
+	if f := a.versions.Floor(); f > a.next {
 		// Resume numbering above the trimmed prefix: a fresh instance
 		// below the floor would ghost in our own vote ring and stall
 		// mid-ring at any acceptor that already trimmed it.
 		a.next = f
 	}
-	adopt := make(map[int64]vote)
-	for _, p := range a.promises {
-		for inst, v := range p.Votes {
-			if cur, ok := adopt[inst]; !ok || v.rnd > cur.rnd {
-				adopt[inst] = v
-			}
-		}
-	}
+	insts, adopt := a.adoptVotes()
 	if a.fo.tookOver && len(a.ring) > 1 {
-		// Circulate the reconfigured layout once around the new ring BEFORE
-		// re-proposing the adopted instances: their Phase 2s (and the
-		// decisions the last acceptor derives from them) travel the same
-		// links, and a downstream member still holding the pre-failure
-		// layout would forward those decisions to the dead node. Lost
-		// decisions leave the new coordinator's window permanently
-		// exhausted — with more adopted instances than Window, it could
-		// never open an instance again.
+		// Circulate the new layout BEFORE re-proposing adopted instances:
+		// a member still holding the old layout would forward their
+		// decisions to the dead node, and each lost decision pins a window
+		// slot of the new coordinator forever.
 		a.ringRnd = a.crnd
-		a.env.Send(a.succ(), uRingChange{Rnd: a.crnd, Ring: a.ring, NAcc: a.nacc})
+		a.env.Send(a.succ(), mRingChange{Rnd: a.crnd, Ring: a.ring, NAcc: a.nacc})
 	}
-	insts := make([]int64, 0, len(adopt))
-	for inst := range adopt {
-		insts = append(insts, inst)
-	}
-	sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
 	for _, inst := range insts {
-		if inst < a.gc.Floor() {
-			// Globally applied and trimmed: acceptors that trimmed the
-			// instance drop its Phase 2 at the floor guard, so re-opening
-			// it could never complete its ring pass. Instances this node
-			// merely DELIVERED are still re-proposed — after a failover
-			// other learners may have a gap there, and their own dedup
-			// (deliverLocal) discards the duplicate.
+		if inst < a.versions.Floor() {
+			// Globally applied and trimmed: its Phase 2 would stop at the
+			// floor guard of any trimmed acceptor. Instances this node merely
+			// DELIVERED are re-proposed (other learners' deliverLocal
+			// discards the duplicate).
 			continue
 		}
 		if inst >= a.next {
@@ -576,16 +359,10 @@ func (a *UAgent) onPhase1B(from proto.NodeID, m uPhase1B) {
 		}
 		a.openCount++
 		av := adopt[inst]
-		// Keep the adopted vote's value id: consensus is on value ids, so
-		// a possibly-chosen value must be re-proposed as the SAME id.
-		vid := av.vid
-		if vid == 0 {
-			vid = core.ValueID(a.crnd<<32 | inst)
-		}
 		v, _ := a.votes.Put(inst)
-		*v = vote{rnd: a.crnd, vid: vid, val: av.val}
+		*v = vote{rnd: a.crnd, vid: av.vid, val: av.val}
 		m := uPhase2Pool.Get()
-		m.Inst, m.Rnd, m.VID, m.Val = inst, a.crnd, vid, av.val
+		m.Inst, m.Rnd, m.VID, m.Val = inst, a.crnd, av.vid, av.val
 		a.forwardPhase2(m)
 	}
 	a.flush()
@@ -605,7 +382,7 @@ func (a *UAgent) onPhase2(m *uPhase2) {
 		uPhase2Pool.Put(m)
 		return
 	}
-	if m.Inst < a.gc.Floor() {
+	if m.Inst < a.versions.Floor() {
 		// Straggler for a trimmed (globally applied) instance: re-creating
 		// its vote below the GC floor would leave a permanent ghost in the
 		// instance ring, since garbage collection never looks below the
@@ -619,7 +396,7 @@ func (a *UAgent) onPhase2(m *uPhase2) {
 	if a.walOn() {
 		// Votes persist sequentially along the ring (§3.5.5), with the
 		// record retained for crash replay.
-		a.Log.Append(a.env, wal.Record{Kind: wal.KindVote, Inst: m.Inst, Rnd: m.Rnd, VID: m.VID, Val: m.Val},
+		a.wal.Append(a.env, wal.Record{Kind: wal.KindVote, Inst: m.Inst, Rnd: m.Rnd, VID: m.VID, Val: m.Val},
 			func() { a.phase2Proceed(m) })
 	} else if a.Cfg.DiskSync {
 		a.env.DiskWrite(m.Val.Size()+headerBytes, func() { a.phase2Proceed(m) })
@@ -732,82 +509,12 @@ func (a *UAgent) drain() {
 		a.nextDeliver++
 		if a.Cfg.ExecCost > 0 && len(b.Vals) > 0 {
 			a.env.Work(time.Duration(len(b.Vals))*a.Cfg.ExecCost, func() {
-				a.finishBatch(inst, b)
+				a.deliver(inst, b, a.admit(inst, b))
 			})
 			continue
 		}
-		a.finishBatch(inst, b)
+		a.deliver(inst, b, a.admit(inst, b))
 	}
-}
-
-func (a *UAgent) finishBatch(inst int64, b core.Batch) {
-	sup := a.dedupPass(inst, b)
-	if a.Trace != nil {
-		now := a.env.Now()
-		for i, v := range b.Vals {
-			if sup != nil && sup[i] {
-				continue
-			}
-			a.Trace.Note(now, inst, v)
-		}
-	}
-	for i, v := range b.Vals {
-		if sup != nil && sup[i] {
-			continue
-		}
-		a.DeliveredBytes += int64(v.Bytes)
-		a.DeliveredMsgs++
-		if v.Born != 0 {
-			lat := a.env.Now() - v.Born
-			a.LatencySum += lat
-			a.LatencyCount++
-			if a.Latencies != nil {
-				*a.Latencies = append(*a.Latencies, lat)
-			}
-		}
-		if a.Deliver != nil {
-			a.Deliver(inst, v)
-		}
-	}
-}
-
-// dedupPass mirrors the M-Ring learner's exactly-once check (see
-// MAgent.dedupPass): first applications commit to the table and ack the
-// session, duplicates are acked from the table and suppressed before
-// tracing/delivery. Nil — at one compare per value — for unstamped
-// batches.
-func (a *UAgent) dedupPass(inst int64, b core.Batch) []bool {
-	stamped := false
-	for i := range b.Vals {
-		if b.Vals[i].Client != 0 {
-			stamped = true
-			break
-		}
-	}
-	if !stamped {
-		return nil
-	}
-	if a.dedup == nil {
-		a.dedup = core.NewDedupTable()
-	}
-	if cap(a.dedupSup) < len(b.Vals) {
-		a.dedupSup = make([]bool, len(b.Vals))
-	}
-	sup := a.dedupSup[:len(b.Vals)]
-	for i, v := range b.Vals {
-		sup[i] = false
-		if v.Client == 0 {
-			continue
-		}
-		if !a.dedup.Commit(v.Client, v.Seq, inst) {
-			sup[i] = true
-			a.DupSuppressed++
-		}
-		m := proto.ClientAckPool.Get()
-		m.Client, m.Seq = v.Client, v.Seq
-		a.env.Send(proto.NodeID(v.Client), m)
-	}
-	return sup
 }
 
 // --- garbage collection (shared subsystem, §3.3.7) ---
@@ -818,7 +525,7 @@ func (a *UAgent) dedupPass(inst int64, b core.Batch) []bool {
 // learner's version without any extra fan-out.
 func (a *UAgent) versionTick() {
 	v := a.nextDeliver - 1
-	a.gc.Report(int64(a.env.ID()), v)
+	a.versions.Report(int64(a.env.ID()), v)
 	a.trimLogs()
 	if len(a.ring) > 1 {
 		a.env.Send(a.succ(), proto.VersionReport{From: a.env.ID(), Inst: v})
@@ -829,7 +536,7 @@ func (a *UAgent) versionTick() {
 // onVersionReport records a circulating report and forwards it until it
 // has completed one revolution (the originator recorded itself at send).
 func (a *UAgent) onVersionReport(m proto.VersionReport) {
-	a.gc.Report(int64(m.From), m.Inst)
+	a.versions.Report(int64(m.From), m.Inst)
 	a.trimLogs()
 	m.Hops++
 	if m.Hops < len(a.ring)-1 {
@@ -837,117 +544,24 @@ func (a *UAgent) onVersionReport(m proto.VersionReport) {
 	}
 }
 
-// trimLogs drops vote-log entries for globally applied instances once
-// every learner has reported. Arrays owned by the coordinator's batch pool
-// are quarantined for one GC round before reuse, exactly like M-Ring
-// Paxos: a learner's deferred ExecCost completion may still be reading a
-// batch it already counted as applied.
+// trimLogs trims once every learner has reported (see ringCore.trim).
 func (a *UAgent) trimLogs() {
-	lo, hi, ok := a.gc.Advance(len(a.Cfg.Learners))
-	if !ok {
-		return
+	if lo, hi, ok := a.versions.Advance(len(a.Cfg.Learners)); ok {
+		a.trim(lo, hi)
 	}
-	a.quarantine = a.pool.Recycle(a.quarantine)
+}
+
+// trimStore drops trimmed votes, quarantining the coordinator's pooled
+// batch arrays.
+func (a *UAgent) trimStore(lo, hi int64) {
 	a.votes.Trim(lo, hi, func(_ int64, v *vote) {
 		if v.pooled {
 			a.quarantine = append(a.quarantine, v.val.Vals)
 		}
 	})
-	if a.walOn() {
-		// The log trims in lockstep with the vote log, bounding replay.
-		a.Log.Trim(a.gc.Floor())
-	}
-	// The dedup table trims in concert with the GC floor (retired clients
-	// only; live clients are never forgotten).
-	a.dedup.Trim(a.gc.Floor())
 }
 
-// --- failover ---
-
-// failoverTick is the periodic failure-detector beat: beacon the ring
-// successor, check the predecessor's silence window. Every ring member
-// participates — U-Ring has no multicast group, so a learner segment
-// member may be the one that detects a dead coordinator's silence.
-func (a *UAgent) failoverTick() {
-	if proto.EnvDown(a.env) || a.retired {
-		// A crashed process runs no failure detector: drop the monitor aim
-		// so the first post-restart tick re-observes a full silence window
-		// instead of acting on a timestamp from before the outage. A
-		// retired process must not beacon either — peers should treat the
-		// amnesiac as dead and reconfigure the ring around it.
-		a.fo.mon = false
-	} else if i := a.ringIndex(); i >= 0 && len(a.ring) > 1 {
-		n := len(a.ring)
-		a.env.Send(a.ring[(i+1)%n], mHeartbeat{Rnd: a.rnd})
-		if a.fo.needRing {
-			// Freshly restarted: hold the detector until a live member
-			// confirms the ring layout — suspicion computed from the stale
-			// pre-crash ring would churn a ring that already moved on.
-			a.fo.mon = false
-			a.requestRingState()
-		} else {
-			pred := a.ring[(i-1+n)%n]
-			if a.fo.observe(pred, a.env.Now(), a.Cfg.Failover.suspectAfter()) {
-				a.suspectPred(pred)
-			}
-		}
-	} else {
-		a.fo.mon = false
-	}
-	proto.AfterFree(a.env, a.Cfg.Failover.Heartbeat, a.fo.tickFn)
-}
-
-// requestRingState asks one ring member for the current layout, rotating
-// the target each tick so a dead first choice does not stall catch-up.
-func (a *UAgent) requestRingState() {
-	n := len(a.ring)
-	i := a.ringIndex()
-	if n <= 1 || i < 0 {
-		a.fo.needRing = false
-		return
-	}
-	off := 1 + a.fo.askIdx%(n-1)
-	a.fo.askIdx++
-	a.env.Send(a.ring[(i+off)%n], mRingStateReq{})
-}
-
-func (a *UAgent) onRingStateReq(from proto.NodeID) {
-	a.env.Send(from, mRingState{Rnd: a.rnd, Ring: a.ring, NAcc: a.nacc})
-}
-
-// onRingState adopts the layout a live member reported after this node's
-// restart; see the MAgent counterpart.
-func (a *UAgent) onRingState(m mRingState) {
-	a.fo.needRing = false
-	if len(m.Ring) == 0 || m.Rnd < a.rnd {
-		return
-	}
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDownU()
-	}
-	a.rnd = m.Rnd
-	if m.Rnd > a.ringRnd {
-		a.ringRnd = m.Rnd
-	}
-	a.ring, a.nacc = m.Ring, m.NAcc
-}
-
-// suspectPred declares the ring predecessor dead and nominates the
-// highest-id surviving acceptor as coordinator over the re-laid-out ring.
-func (a *UAgent) suspectPred(pred proto.NodeID) {
-	a.fo.suspect(pred, a.rnd)
-	newRing, nacc := a.electRing()
-	if len(newRing) == 0 {
-		return
-	}
-	nom := newRing[0]
-	a.fo.note(nom, a.rnd, a.env.Now())
-	if nom == a.env.ID() {
-		a.takeOver(newRing, nacc)
-		return
-	}
-	a.env.Send(nom, mTakeOver{Rnd: a.rnd, Ring: newRing, NAcc: nacc})
-}
+// --- failover layout ---
 
 // electRing lays out the post-failure ring: the highest-id surviving
 // acceptor moves to the coordinator (first) position, the other surviving
@@ -986,60 +600,23 @@ func (a *UAgent) electRing() ([]proto.NodeID, int) {
 	return out, len(accs)
 }
 
-func (a *UAgent) takeOver(ring []proto.NodeID, nacc int) {
-	a.fo.tookOver = true
-	a.becomeCoordinator((a.rnd>>10)+1, ring, nacc)
-}
-
-func (a *UAgent) onTakeOver(m mTakeOver) {
-	if !a.Cfg.Failover.Enabled() || a.retired || len(m.Ring) == 0 || m.Ring[0] != a.env.ID() {
-		return
-	}
-	if a.isCoord && sameRing(a.ring, m.Ring) {
-		return // already coordinating (or running Phase 1 over) this layout
-	}
-	if m.Rnd > a.rnd {
-		a.rnd = m.Rnd
-	}
-	a.takeOver(m.Ring, m.NAcc)
-}
-
-func (a *UAgent) onRingChange(m uRingChange) {
+// onRingChange adopts a reconfigured layout circulating once around the
+// ring (there is no multicast group to announce on), re-routing succ()
+// around the dead node.
+func (a *UAgent) onRingChange(m mRingChange) {
 	if len(m.Ring) == 0 || m.Rnd <= a.ringRnd {
 		return
 	}
-	a.ringRnd = m.Rnd
-	if a.isCoord && m.Rnd > a.crnd {
-		a.standDownU()
-	}
-	if m.Rnd > a.rnd {
-		a.rnd = m.Rnd // round progress signal for the escalation check
-	}
-	a.ring, a.nacc = m.Ring, m.NAcc
-	a.fo.needRing = false
+	a.adoptLayout(m.Rnd, m.Ring, m.NAcc)
 	m.Hops++
 	if m.Hops < len(m.Ring)-1 {
 		a.env.Send(a.succ(), m)
 	}
 }
 
-// standDownU retires a stale coordinator that observed a higher round:
-// acceptors fence its Phase 2 messages, so its open instances and staged
-// values can never complete — the new coordinator re-proposes anything a
-// quorum saw, and clients re-submit the rest.
-func (a *UAgent) standDownU() {
-	if !a.isCoord {
-		return
-	}
-	a.isCoord, a.phase1Done = false, false
-	a.pending.PopFront(a.pending.Len())
-	a.pendingBytes = 0
-	a.openCount = 0
-	a.fo.tookOver = false
-}
-
-// NextDeliver returns the learner's delivery frontier.
-func (a *UAgent) NextDeliver() int64 { return a.nextDeliver }
+// dropOpen is U-Ring's part of standDown: the stale round's window slots
+// can never be released by its own decisions.
+func (a *UAgent) dropOpen() { a.openCount = 0 }
 
 // LiveLogLen reports how many per-instance records this agent currently
 // retains (acceptor vote log plus learner reorder buffer). Soak workloads
